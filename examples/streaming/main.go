@@ -65,7 +65,7 @@ func run() error {
 	}
 	elapsed := time.Since(start)
 
-	st := player.Stats()
+	st := player.Snapshot().PlayerStats
 	fmt.Printf("streamed %d frames of Cut the Rope over loopback UDP in %v (%.1f FPS)\n",
 		frames, elapsed.Round(time.Millisecond), float64(frames)/elapsed.Seconds())
 	fmt.Printf("frames sent=%d displayed=%d; uplink %0.1f KB/frame raw -> %0.1f KB/frame on the wire\n",

@@ -34,9 +34,11 @@ type FleetConfig struct {
 	// a live session discards transport state the peer cannot resync.
 	// 0 selects the library default (2 minutes).
 	IdleTimeout time.Duration
-	// CacheBytes bounds each session's mirrored command cache. The
-	// fleet's memory ceiling is MaxSessions times this, so the default
-	// is deliberately small (1 MiB).
+	// CacheBytes bounds each session's mirrored command cache and must
+	// equal the player's cache bound, or the mirrors diverge on the
+	// first eviction. 0 selects the library default (32 MiB), which is
+	// what every Player uses. A ceiling, not a reservation: the cache
+	// allocates as records arrive.
 	CacheBytes int
 	// EgressBatch tunes the fleet's coalescing egress writer, which
 	// funnels every session's replies, ACKs, and retransmits into
@@ -145,21 +147,14 @@ func (f *Fleet) ServeConn(pc net.PacketConn) error {
 // (zero before Serve/ServeConn) — the fleet-side mirror of
 // Player.Snapshot.
 func (f *Fleet) Snapshot() FleetSnapshot {
-	return FleetSnapshot{FleetStats: f.Stats()}
-}
-
-// Stats returns a fleet snapshot (zero before Serve/ServeConn).
-//
-// Deprecated: read Snapshot().FleetStats. Kept as a thin accessor.
-func (f *Fleet) Stats() FleetStats {
 	f.mu.Lock()
 	mgr := f.mgr
 	f.mu.Unlock()
 	if mgr == nil {
-		return FleetStats{}
+		return FleetSnapshot{}
 	}
 	s := mgr.Stats()
-	return FleetStats{
+	return FleetSnapshot{FleetStats: FleetStats{
 		Sessions:        s.Sessions,
 		PeakSessions:    s.PeakSessions,
 		Admitted:        s.Admitted,
@@ -178,7 +173,7 @@ func (f *Fleet) Stats() FleetStats {
 
 		FrameRate:         s.FrameRate,
 		ForecastFrameRate: s.ForecastFrameRate,
-	}
+	}}
 }
 
 // Close shuts the fleet down — listener, every session, timer wheel —

@@ -52,7 +52,7 @@ func TestFleetServesTwoPlayersOverUDP(t *testing.T) {
 		}
 	}
 
-	st := fl.Stats()
+	st := fl.Snapshot().FleetStats
 	if st.Sessions != 2 || st.Admitted != 2 {
 		t.Fatalf("sessions=%d admitted=%d, want 2/2", st.Sessions, st.Admitted)
 	}
@@ -76,5 +76,38 @@ func TestFleetServesTwoPlayersOverUDP(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve still blocked after Close")
+	}
+}
+
+// TestDefaultFleetServesDefaultPlayer is the regression test for the
+// cmdcache-bound mismatch: a zero-value FleetConfig.CacheBytes must
+// mirror the bound every Player uses, or the two caches diverge at the
+// fleet side's first eviction (frame 333 of this session when the fleet
+// defaulted to 1 MiB) and the session dies on a receive timeout.
+func TestDefaultFleetServesDefaultPlayer(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no UDP loopback: %v", err)
+	}
+	const w, h = 320, 240
+	fl, err := NewFleet(FleetConfig{Width: w, Height: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = fl.ServeConn(pc) }()
+	defer func() { _ = fl.Close() }()
+
+	player, err := NewPlayer(PlayerConfig{Workload: "G5", Width: w, Height: h, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = player.Close() }()
+	if err := player.Connect(pc.LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
+	for f := 0; f < 600; f++ {
+		if _, err := player.StepFrame(5 * time.Second); err != nil {
+			t.Fatalf("frame %d: %v", f, err)
+		}
 	}
 }

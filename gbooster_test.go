@@ -134,7 +134,7 @@ func TestPlayerOverInMemoryLink(t *testing.T) {
 			t.Fatalf("frame bounds %v", img.Bounds())
 		}
 	}
-	st := player.Stats()
+	st := player.Snapshot().PlayerStats
 	if st.FramesSent != 5 || st.FramesShown != 5 {
 		t.Fatalf("frames sent=%d shown=%d", st.FramesSent, st.FramesShown)
 	}

@@ -34,10 +34,6 @@ type ClientConfig struct {
 	// one worker per CPU, 1 the serial reference path. Output is
 	// byte-identical at every degree.
 	Parallelism int
-	// PipelineDepth bounds frames in flight between each service's
-	// receive and decode stages: 0 selects DefaultPipelineDepth,
-	// negative decodes inline on the receive goroutine.
-	PipelineDepth int
 
 	// Failover tuning (zero values take the defaults below). A device
 	// whose head-of-line request stops making progress — no result
@@ -90,18 +86,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 		c.HandoffTimeout = 2 * c.FailoverMaxWait
 	}
 	return c
-}
-
-// pipelineDepth resolves the receive/decode overlap bound.
-func (c ClientConfig) pipelineDepth() int {
-	switch {
-	case c.PipelineDepth < 0:
-		return 0
-	case c.PipelineDepth == 0:
-		return DefaultPipelineDepth
-	default:
-		return c.PipelineDepth
-	}
 }
 
 // Frame is one displayed frame.
@@ -430,19 +414,10 @@ func (c *Client) AddService(name string, conn *rudp.Conn, capability float64, rt
 		return fmt.Errorf("core: scheduler: %w", err)
 	}
 	c.services = append(c.services, svc)
-	if depth := c.cfg.pipelineDepth(); depth > 0 {
-		// Receive/decode overlap: the recv goroutine validates and
-		// hands off, the decode goroutine runs the turbo decoder. The
-		// bounded channel keeps a slow decoder from buffering the
-		// world.
-		jobs := make(chan decodeJob, depth)
-		c.wg.Add(2)
-		go c.recvLoop(svc, jobs)
-		go c.decodeLoop(svc, jobs)
-	} else {
-		c.wg.Add(1)
-		go c.recvLoop(svc, nil)
-	}
+	// One receive goroutine per service: replies from different devices
+	// decode in parallel, replies from one device in arrival order.
+	c.wg.Add(1)
+	go c.recvLoop(svc)
 	if c.seq > 0 {
 		// Mid-session hot-join: the new server is cold while its peers
 		// carry the full session state, so it must not enter the
@@ -1165,21 +1140,12 @@ func (c *Client) DrainService(name string) error {
 	return nil
 }
 
-// decodeJob carries one validated encoded-frame payload from a
-// service's receive goroutine to its decode goroutine.
-type decodeJob struct {
-	seq     uint64
-	payload []byte
-}
-
-// recvLoop reads messages from one server, validates them, and either
-// hands encoded frames to the service's decode goroutine (jobs != nil)
-// or decodes them inline (jobs == nil, PipelineDepth < 0).
-func (c *Client) recvLoop(svc *service, jobs chan<- decodeJob) {
+// recvLoop reads messages from one server, validates them, and decodes
+// encoded frames inline. Per-connection replies arrive in dispatch
+// order; decoding on the receive goroutine preserves that order into
+// the reorder buffer.
+func (c *Client) recvLoop(svc *service) {
 	defer c.wg.Done()
-	if jobs != nil {
-		defer close(jobs)
-	}
 	for {
 		msg, err := svc.conn.Recv(0)
 		if err != nil {
@@ -1202,15 +1168,7 @@ func (c *Client) recvLoop(svc *service, jobs chan<- decodeJob) {
 			c.mu.Unlock()
 			continue
 		}
-		if jobs == nil {
-			if !c.decodeOne(svc, seq, payload) {
-				return
-			}
-			continue
-		}
-		select {
-		case jobs <- decodeJob{seq: seq, payload: payload}:
-		case <-c.done:
+		if !c.decodeOne(svc, seq, payload) {
 			return
 		}
 	}
@@ -1236,18 +1194,6 @@ func (c *Client) handleBootstrapAck(svc *service, payload []byte) {
 		c.finishHandoffLocked(svc, svc.handoffEpoch, fp)
 	}
 	c.mu.Unlock()
-}
-
-// decodeLoop drains one service's decode jobs. Per-connection replies
-// arrive in dispatch order; a single decode goroutine per service
-// preserves that order into the reorder buffer.
-func (c *Client) decodeLoop(svc *service, jobs <-chan decodeJob) {
-	defer c.wg.Done()
-	for job := range jobs {
-		if !c.decodeOne(svc, job.seq, job.payload) {
-			return
-		}
-	}
 }
 
 // decodeOne turbo-decodes one encoded frame and runs the bookkeeping:

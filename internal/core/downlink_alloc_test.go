@@ -31,12 +31,14 @@ func appendDataPkt(dst []byte, seq uint32, payload []byte) []byte {
 // ACK processing — must not allocate at all. The path under test is the
 // real server+rudp stack: rudp delivery into core.Server.Handle and the
 // reply back out through rudp.Conn.Send, exactly the per-message cycle
-// serveSync and the fleet's runSession drive.
+// Server.serve and the fleet's runSession drive.
 func TestDownlinkServeZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun counts the race runtime's shadow allocations; the gate runs in the non-race pass")
 	}
-	srv, err := NewServer(ServerConfig{Width: 64, Height: 48, PipelineDepth: -1})
+	// Parallelism 1 is what every fleet session runs; the tile fan-out a
+	// multi-CPU host selects at 0 allocates per parallel.Do call.
+	srv, err := NewServer(ServerConfig{Width: 64, Height: 48, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestDownlinkServeZeroAllocSteadyState(t *testing.T) {
 			conn.Inject(pktBuf)
 		}
 
-		// Serve: the per-message cycle of serveSync / fleet.runSession.
+		// Serve: the per-message cycle of Server.serve / fleet.runSession.
 		got, err := conn.Recv(0)
 		if err != nil {
 			t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/gbooster/gbooster/internal/cmdcache"
@@ -15,10 +14,6 @@ import (
 	"github.com/gbooster/gbooster/internal/session"
 	"github.com/gbooster/gbooster/internal/turbo"
 )
-
-// DefaultPipelineDepth bounds frames in flight between Serve's render
-// and encode stages when ServerConfig.PipelineDepth is zero.
-const DefaultPipelineDepth = 2
 
 // ServerConfig parameterizes a service-device endpoint.
 type ServerConfig struct {
@@ -38,10 +33,6 @@ type ServerConfig struct {
 	// keeps turbo.DefaultDiffThreshold, negative ships every
 	// nonidentical tile (exact mode).
 	DiffThreshold float64
-	// PipelineDepth bounds frames in flight between Serve's render and
-	// encode stages: 0 selects DefaultPipelineDepth, negative disables
-	// the overlap (render and encode run strictly in sequence).
-	PipelineDepth int
 	// AdaptiveQuality enables the congestion-aware quality ladder:
 	// Quality becomes the ceiling, and the server steps encode quality
 	// down toward QualityFloor when the connection's rudp stats show
@@ -68,18 +59,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 		c.QualityFloor = c.Quality
 	}
 	return c
-}
-
-// pipelineDepth resolves the render/encode overlap bound.
-func (c ServerConfig) pipelineDepth() int {
-	switch {
-	case c.PipelineDepth < 0:
-		return 0
-	case c.PipelineDepth == 0:
-		return DefaultPipelineDepth
-	default:
-		return c.PipelineDepth
-	}
 }
 
 // ServerStats counts server work.
@@ -110,32 +89,22 @@ type Server struct {
 	cache *cmdcache.Cache
 	dec   glwire.Decoder
 
-	// mu guards the render stage (GPU, cache, decoder, stats); encMu
-	// guards the encode stage (the turbo encoder). Separate locks are
-	// what let the pipelined serve path render frame N while frame N−1
-	// is still being encoded.
+	// mu guards all mutable state, cache and dec included: a message is
+	// rendered, encoded and framed under one hold, so Stats and Snapshot
+	// see whole frames.
 	mu       sync.Mutex
 	gpu      *gles.GPU
 	stats    ServerStats
 	decomp   *lz4.Decompressor // mirrors the client compressors' dictionary window
 	rawBuf   []byte            // decompression scratch, reused across batches
 	fragBase int64             // FragmentsShaded carried over from pre-bootstrap GPUs
-
-	encMu    sync.Mutex
 	enc      *turbo.Encoder
 	forceKey bool   // next encoded frame must be a keyframe (post-bootstrap resync)
-	replyBuf []byte // framed-reply staging, reused across encodes (guarded by encMu)
-	// Adaptive-quality state (guarded by encMu; nil ladder when the
-	// feature is off). lastAdapt rate-limits transport sampling.
+	replyBuf []byte // framed-reply staging, reused across encodes
+	// Adaptive-quality state (nil ladder when the feature is off).
+	// lastAdapt rate-limits transport sampling.
 	ladder    *qualityLadder
 	lastAdapt time.Time
-
-	// frameMu guards frameFree: recycled framebuffer copies for the
-	// pipelined serve path. A persistent free list rather than a
-	// sync.Pool — the population is bounded by the pipeline depth, and
-	// survival across GC cycles (and across Serve calls) is the point.
-	frameMu   sync.Mutex
-	frameFree [][]byte
 }
 
 // NewServer builds a server with a fresh GPU context.
@@ -167,10 +136,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // Stats returns a snapshot of the server counters.
 func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.stats.FragmentsShaded = s.fragBase + s.gpu.FragmentsShaded
 	st := s.stats
-	s.mu.Unlock()
-	s.encMu.Lock()
 	if s.ladder != nil {
 		st.QualityNow = s.ladder.current
 		st.QualityStepsDown = s.ladder.stepsDown
@@ -178,7 +146,6 @@ func (s *Server) Stats() ServerStats {
 	} else {
 		st.QualityNow = s.cfg.Quality
 	}
-	s.encMu.Unlock()
 	return st
 }
 
@@ -188,21 +155,17 @@ func (s *Server) Stats() ServerStats {
 const qualityAdaptInterval = 100 * time.Millisecond
 
 // AdaptQuality samples conn's transport stats and applies the ladder's
-// quality choice to the encoder. The serve loops call it after each
+// quality choice to the encoder. The serve loop calls it after each
 // received message; external message pumps that drive the server
 // through Handle (the fleet's per-session loop) must call it themselves
-// or the ladder never observes the transport. Uses TryLock so the
-// receive path never blocks behind an in-progress encode (skipping a
-// sample is harmless — the next message retries). No-op when the
-// adaptive ladder is off.
+// or the ladder never observes the transport. No-op when the adaptive
+// ladder is off.
 func (s *Server) AdaptQuality(conn *rudp.Conn) {
 	if s.ladder == nil {
 		return
 	}
-	if !s.encMu.TryLock() {
-		return
-	}
-	defer s.encMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	now := time.Now()
 	if now.Sub(s.lastAdapt) < qualityAdaptInterval {
 		return
@@ -212,10 +175,8 @@ func (s *Server) AdaptQuality(conn *rudp.Conn) {
 }
 
 // Serve processes messages from conn until it closes. It replies to
-// frame batches with encoded frames on the same connection. With a
-// positive pipeline depth the render and encode stages overlap: the
-// main loop renders frame N while a companion goroutine turbo-encodes
-// and sends frame N−1.
+// frame batches with encoded frames on the same connection: each
+// message is rendered, encoded, and sent before the next recv.
 func (s *Server) Serve(conn *rudp.Conn) error {
 	return s.serve(conn, 0)
 }
@@ -226,130 +187,7 @@ func (s *Server) ServeWithTimeout(conn *rudp.Conn, idle time.Duration) error {
 	return s.serve(conn, idle)
 }
 
-// encodeJob carries one rendered frame from the render stage to the
-// encode stage.
-type encodeJob struct {
-	frame []byte
-	seq   uint64
-}
-
 func (s *Server) serve(conn *rudp.Conn, idle time.Duration) error {
-	depth := s.cfg.pipelineDepth()
-	if depth <= 0 {
-		return s.serveSync(conn, idle)
-	}
-
-	jobs := make(chan encodeJob, depth)
-	errc := make(chan error, 1)
-	var outstanding atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for job := range jobs {
-			reply, err := s.encodeReply(job.frame, job.seq)
-			s.putFrameBuf(job.frame)
-			if err == nil {
-				if serr := conn.Send(reply); serr != nil {
-					err = fmt.Errorf("core: server send: %w", serr)
-				}
-			}
-			outstanding.Add(-1)
-			if err != nil {
-				select {
-				case errc <- err:
-				default:
-				}
-				// Keep draining so the render stage never blocks on a
-				// full jobs channel while shutting down.
-			}
-		}
-	}()
-	defer func() {
-		close(jobs)
-		wg.Wait()
-	}()
-
-	for {
-		select {
-		case err := <-errc:
-			return err
-		default:
-		}
-		msg, err := conn.Recv(idle)
-		if err != nil {
-			if err == rudp.ErrTimeout && outstanding.Load() > 0 {
-				// Not idle: the encoder is still working the backlog.
-				// Declaring idle here would flush-and-return the moment
-				// the last reply hit the wire, with no quiet period for
-				// the transport to finish delivering it — the serial
-				// loop's idle timeout only ever fired after a full idle
-				// window with nothing in flight anywhere.
-				continue
-			}
-			if err == rudp.ErrClosed || err == rudp.ErrTimeout {
-				return nil
-			}
-			return fmt.Errorf("core: server recv: %w", err)
-		}
-		s.AdaptQuality(conn)
-		frame, seq, direct, err := s.renderMsg(msg)
-		if err != nil {
-			return err
-		}
-		if direct != nil {
-			// Direct replies (bootstrap acks) bypass the encode stage.
-			// Sending here, possibly ahead of queued encode jobs, is
-			// safe: renderMsg already restored state serially in recv
-			// order, and the ack carries no frame ordering.
-			if err := conn.Send(direct); err != nil {
-				return fmt.Errorf("core: server send: %w", err)
-			}
-			continue
-		}
-		if frame == nil {
-			conn.Release(msg)
-			continue
-		}
-		// The live framebuffer is only valid until the next render, so
-		// the encoder stage gets a copy from the server's free list.
-		buf := s.getFrameBuf()
-		copy(buf, frame)
-		conn.Release(msg)
-		outstanding.Add(1)
-		jobs <- encodeJob{frame: buf, seq: seq}
-	}
-}
-
-// getFrameBuf pops a recycled framebuffer copy (or allocates the first
-// few); putFrameBuf returns one after the encode stage is done with it.
-// Steady-state streaming therefore recycles the same depth+1 buffers.
-func (s *Server) getFrameBuf() []byte {
-	s.frameMu.Lock()
-	if n := len(s.frameFree); n > 0 {
-		buf := s.frameFree[n-1]
-		s.frameFree[n-1] = nil
-		s.frameFree = s.frameFree[:n-1]
-		s.frameMu.Unlock()
-		return buf
-	}
-	s.frameMu.Unlock()
-	return make([]byte, s.cfg.Width*s.cfg.Height*4)
-}
-
-func (s *Server) putFrameBuf(buf []byte) {
-	if cap(buf) < s.cfg.Width*s.cfg.Height*4 {
-		return
-	}
-	buf = buf[:s.cfg.Width*s.cfg.Height*4]
-	s.frameMu.Lock()
-	s.frameFree = append(s.frameFree, buf)
-	s.frameMu.Unlock()
-}
-
-// serveSync is the non-overlapped serve loop (PipelineDepth < 0): each
-// frame is rendered, encoded, and sent before the next recv.
-func (s *Server) serveSync(conn *rudp.Conn, idle time.Duration) error {
 	for {
 		msg, err := conn.Recv(idle)
 		if err != nil {
@@ -384,54 +222,35 @@ func releaseMsg(conn *rudp.Conn, msg []byte) {
 }
 
 // Handle processes one message and returns the reply to send (nil for
-// state updates). Exposed so simulations can drive a server without a
-// transport. Handle is the synchronous composition of the two pipeline
-// stages; the rendered frame is encoded before Handle returns, so no
-// copy is needed.
+// state updates). Exposed so simulations and the fleet's per-session
+// loop can drive a server without Serve. The reply is built in the
+// server's reusable staging buffer: it stays valid only until the next
+// Handle, so callers must send (rudp copies on Send) or copy it first.
 func (s *Server) Handle(msg []byte) ([]byte, error) {
-	frame, seq, direct, err := s.renderMsg(msg)
-	if err != nil {
-		return nil, err
-	}
-	if direct != nil {
-		return direct, nil
-	}
-	if frame == nil {
-		return nil, nil
-	}
-	return s.encodeReply(frame, seq)
-}
-
-// renderMsg runs the render stage under s.mu: decode, cache-resolve,
-// and execute one message. It returns the live framebuffer (valid only
-// until the next render) when the batch completed a frame needing
-// encode, nil otherwise. direct is a reply to send as-is, bypassing the
-// encode stage (bootstrap acks).
-func (s *Server) renderMsg(msg []byte) (frame []byte, seq uint64, direct []byte, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.BytesIn += int64(len(msg))
 	msgType, seq, payload, err := decodeMsg(msg)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, err
 	}
 	switch msgType {
 	case MsgFrameBatch:
 		frame, err := s.executeBatch(payload)
-		if err != nil {
-			return nil, 0, nil, err
+		if err != nil || frame == nil { // nil frame: no SwapBuffers boundary
+			return nil, err
 		}
-		return frame, seq, nil, nil // frame == nil: no SwapBuffers boundary
+		return s.encodeReplyLocked(frame, seq)
 	case MsgStateUpdate:
 		if _, err := s.executeBatch(payload); err != nil {
-			return nil, 0, nil, err
+			return nil, err
 		}
 		s.stats.StateUpdates++
-		return nil, 0, nil, nil
+		return nil, nil
 	case MsgBootstrap:
-		return nil, 0, encodeMsg(MsgBootstrapAck, seq, s.applyBootstrapLocked(payload)), nil
+		return encodeMsg(MsgBootstrapAck, seq, s.applyBootstrapLocked(payload)), nil
 	default:
-		return nil, 0, nil, fmt.Errorf("%w: type %d", ErrBadMessage, msgType)
+		return nil, fmt.Errorf("%w: type %d", ErrBadMessage, msgType)
 	}
 }
 
@@ -459,11 +278,7 @@ func (s *Server) applyBootstrapLocked(payload []byte) []byte {
 			s.cache = cache
 			s.decomp = decomp
 			s.stats.Bootstraps++
-			// encMu nests inside s.mu only here; encodeReply takes the
-			// two locks sequentially, never nested, so order is safe.
-			s.encMu.Lock()
 			s.forceKey = true
-			s.encMu.Unlock()
 			binary.LittleEndian.PutUint64(ack[:], gles.StateFingerprint(ctx))
 		}
 	}
@@ -473,31 +288,22 @@ func (s *Server) applyBootstrapLocked(payload []byte) []byte {
 	return ack[:]
 }
 
-// encodeReply runs the encode stage: turbo-encode one finished frame
-// under s.encMu and wrap it in a reply message. Frames must reach the
-// encoder in render order — the closed-loop delta codec's prev state is
-// order-sensitive — which both callers guarantee (Handle by being
-// synchronous, serve by using a single encoder goroutine fed from an
-// ordered channel). The reply is built in the server's reusable staging
-// buffer: it stays valid only until the next encode, so callers must
-// send (rudp copies on Send) or copy it before handling another message.
-func (s *Server) encodeReply(frame []byte, seq uint64) ([]byte, error) {
-	s.encMu.Lock()
+// encodeReplyLocked turbo-encodes one finished frame and wraps it in a
+// reply message. Frames reach the encoder in render order — the
+// closed-loop delta codec's prev state is order-sensitive — because
+// Handle renders and encodes under one hold of s.mu.
+func (s *Server) encodeReplyLocked(frame []byte, seq uint64) ([]byte, error) {
 	key := s.forceKey
 	s.forceKey = false
 	pkt, err := s.enc.Encode(frame, key)
 	if err != nil {
-		s.encMu.Unlock()
 		return nil, fmt.Errorf("core: encode frame: %w", err)
 	}
 	reply := appendMsgHeader(s.replyBuf[:0], MsgEncodedFrame, seq)
 	reply = append(reply, pkt...)
 	s.replyBuf = reply
-	s.encMu.Unlock()
-	s.mu.Lock()
 	s.stats.FramesRendered++
 	s.stats.BytesOut += int64(len(reply))
-	s.mu.Unlock()
 	return reply, nil
 }
 

@@ -37,12 +37,12 @@ type testClient struct {
 // newTestClient dials a fleet listener from pc. seqBase partitions the
 // frame sequence space per client so a reply leaking across sessions is
 // detectable by its sequence number alone.
-func newTestClient(pc net.PacketConn, peer net.Addr, seqBase uint64, cacheBytes int) *testClient {
+func newTestClient(pc net.PacketConn, peer net.Addr, seqBase uint64) *testClient {
 	opts := rudp.DefaultOptions()
 	return &testClient{
 		conn:    rudp.New(pc, peer, opts),
 		enc:     glwire.NewEncoder(nil),
-		cache:   cmdcache.New(cacheBytes),
+		cache:   cmdcache.New(0),
 		comp:    lz4.NewCompressor(),
 		seqBase: seqBase,
 		seq:     seqBase,

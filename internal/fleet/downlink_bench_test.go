@@ -60,7 +60,7 @@ func benchDownlinkServe(b *testing.B, sessions int, batched bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		clients[i] = newTestClient(pc, addr, uint64(i+1)<<32, fleet.DefaultCacheBytes)
+		clients[i] = newTestClient(pc, addr, uint64(i+1)<<32)
 		defer clients[i].close()
 	}
 

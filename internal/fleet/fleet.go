@@ -50,11 +50,6 @@ const (
 	DefaultMaxSessions = 1024
 	// DefaultIdleTimeout reaps a session with no inbound traffic.
 	DefaultIdleTimeout = 2 * time.Minute
-	// DefaultCacheBytes is the per-session mirrored command cache
-	// budget. Deliberately far below cmdcache.DefaultCapacity: the
-	// fleet's memory ceiling is MaxSessions * per-session budget, so
-	// per-session generosity is what turns a session spike into an OOM.
-	DefaultCacheBytes = 1 << 20
 )
 
 // numShards spreads the peer->session table so the demux loop's
@@ -82,8 +77,11 @@ type Config struct {
 	// ladder's lower bound (0 = core.DefaultQualityFloor).
 	AdaptiveQuality bool
 	QualityFloor    int
-	// CacheBytes bounds each session's mirrored command cache
-	// (0 = DefaultCacheBytes).
+	// CacheBytes bounds each session's mirrored command cache and must
+	// equal the client's cache bound, or the mirrors diverge on the
+	// first eviction (0 = cmdcache.DefaultCapacity, what a default
+	// client uses). A ceiling, not a reservation: the cache allocates
+	// as records arrive.
 	CacheBytes int
 	// MaxSessions is the admission cap (0 = DefaultMaxSessions).
 	MaxSessions int
@@ -111,9 +109,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CacheBytes <= 0 {
-		c.CacheBytes = DefaultCacheBytes
-	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = DefaultMaxSessions
 	}
@@ -192,7 +187,6 @@ func (m *Manager) newSessionServer() (*core.Server, error) {
 		CacheBytes:      m.cfg.CacheBytes,
 		Parallelism:     m.cfg.Parallelism,
 		DiffThreshold:   m.cfg.DiffThreshold,
-		PipelineDepth:   -1, // sessions are serial; overlap comes from the fleet
 		AdaptiveQuality: m.cfg.AdaptiveQuality,
 		QualityFloor:    m.cfg.QualityFloor,
 	})

@@ -47,7 +47,7 @@ func benchFleetServe(b *testing.B, sessions int) {
 
 	clients := make([]*testClient, sessions)
 	for i := range clients {
-		clients[i] = newTestClient(leaves[i], hub.Addr(), uint64(i+1)<<32, fleet.DefaultCacheBytes)
+		clients[i] = newTestClient(leaves[i], hub.Addr(), uint64(i+1)<<32)
 		defer clients[i].close()
 	}
 	runtime.GC()

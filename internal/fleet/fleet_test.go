@@ -23,7 +23,7 @@ func TestFleetSmoke(t *testing.T) {
 
 	clients := make([]*testClient, 2)
 	for i := range clients {
-		clients[i] = newTestClient(leaves[i], hub.Addr(), uint64(i+1)<<32, fleet.DefaultCacheBytes)
+		clients[i] = newTestClient(leaves[i], hub.Addr(), uint64(i+1)<<32)
 		defer clients[i].close()
 	}
 	const frames = 5
@@ -68,7 +68,7 @@ func TestFleetAdmissionOverCapacity(t *testing.T) {
 	// Two clients fill the fleet.
 	admitted := make([]*testClient, 2)
 	for i := range admitted {
-		admitted[i] = newTestClient(leaves[i], hub.Addr(), uint64(i+1)<<32, fleet.DefaultCacheBytes)
+		admitted[i] = newTestClient(leaves[i], hub.Addr(), uint64(i+1)<<32)
 		defer admitted[i].close()
 		if _, err := admitted[i].sendFrame(0.3); err != nil {
 			t.Fatal(err)
@@ -79,7 +79,7 @@ func TestFleetAdmissionOverCapacity(t *testing.T) {
 	}
 	// A third is over capacity: its datagrams are dropped and counted,
 	// no session exists for it, and it hears nothing back.
-	late := newTestClient(leaves[2], hub.Addr(), 3<<32, fleet.DefaultCacheBytes)
+	late := newTestClient(leaves[2], hub.Addr(), 3<<32)
 	defer late.close()
 	if _, err := late.sendFrame(0.9); err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestFleetCloseDuringAdmission(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := newTestClient(leaves[0], hub.Addr(), 1<<32, fleet.DefaultCacheBytes)
+		c := newTestClient(leaves[0], hub.Addr(), 1<<32)
 		if _, err := c.sendFrame(0.5); err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestFleetChurnSoak(t *testing.T) {
 				// Every incarnation is a fresh session from a fresh
 				// source address with its own sequence partition.
 				leaf := leaves[w*lives+life]
-				c := newTestClient(leaf, hub.Addr(), uint64(w*lives+life+1)<<32, fleet.DefaultCacheBytes)
+				c := newTestClient(leaf, hub.Addr(), uint64(w*lives+life+1)<<32)
 				crash := (w+life)%3 == 0 // every third incarnation dies mid-stream
 				for f := 0; f < frames; f++ {
 					if _, err := c.sendFrame(float32(w%7) / 7); err != nil {

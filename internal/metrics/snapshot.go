@@ -238,8 +238,7 @@ func (p PredictStats) ExceedanceFNRate() float64 {
 // streaming, failover, and handoff counter blocks from a single
 // underlying stats read, plus the per-device dispatch and transport
 // views taken back-to-back with it. It is what a Collector observes
-// and what Player.Snapshot returns — the five legacy per-feature
-// getters are thin slices of it.
+// and what Player.Snapshot returns.
 type PlayerSnapshot struct {
 	// Elapsed is the session age (time since the player was built) at
 	// the moment of the snapshot, so collectors can difference
@@ -294,7 +293,7 @@ func (s PlayerSnapshot) MeanFrameLatency() time.Duration {
 
 // FleetSnapshot is the fleet-side mirror of PlayerSnapshot: one
 // consistent read of a fleet's counters. It is what Fleet.Snapshot
-// returns; the legacy Fleet.Stats getter is a slice of it.
+// returns.
 type FleetSnapshot struct {
 	FleetStats
 }

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Data-plane benchmark sweep: tile-parallel turbo encode/decode, band-
-# parallel rasterization, and the pipelined (render||encode) frame loop,
-# each across worker degrees {1, 2, 4, NumCPU}. Results land in
-# BENCH_dataplane.json with par=1-relative speedups and the host's CPU
-# count (the speedups only mean something on a multicore machine).
+# Data-plane benchmark sweep: tile-parallel turbo encode/decode and
+# band-parallel rasterization, each across worker degrees {1, 2, 4,
+# NumCPU}. Results land in BENCH_dataplane.json with par=1-relative
+# speedups and the host's CPU count (the speedups only mean something
+# on a multicore machine).
 #
 #   BENCHTIME=1x sh scripts/bench_dataplane.sh   # smoke run (check.sh)
 #   sh scripts/bench_dataplane.sh                # full 1s-per-series run
@@ -25,8 +25,6 @@ go test -run '^$' -bench 'BenchmarkTurboEncode|BenchmarkTurboDecode' \
 	-benchtime "$BENCHTIME" ./internal/turbo/ | tee -a "$tmp"
 go test -run '^$' -bench 'BenchmarkRaster' \
 	-benchtime "$BENCHTIME" ./internal/gles/ | tee -a "$tmp"
-go test -run '^$' -bench 'BenchmarkFramePipeline' \
-	-benchtime "$BENCHTIME" ./internal/core/ | tee -a "$tmp"
 
 if [ -n "$MIN_MBPS" ]; then
 	go run ./scripts/benchjson -o "$OUT" -min-mbps "$MIN_MBPS" <"$tmp"

@@ -7,6 +7,19 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+# gate REGEX ARGS...: go test -run REGEX ARGS..., after checking that
+# REGEX still selects at least one Test in those packages — a renamed
+# test must fail the gate, not drop out of it.
+gate() {
+	regex="$1"
+	shift
+	if ! go test -list "$regex" "$@" | grep -q '^Test'; then
+		echo "check.sh: -run '$regex' selects no test in: $*" >&2
+		exit 1
+	fi
+	go test -run "$regex" "$@"
+}
+
 go build ./...
 go vet ./...
 go test ./...
@@ -19,33 +32,33 @@ go test -race -short ./internal/fleet/... ./internal/dispatch/...
 # Peer-validation regression gates: the stray-peer datagram drop in the
 # transport read loop, the garbage-first-datagram accept check, and the
 # absolute accept deadline.
-go test -race -run 'Stray|GarbageFirstDatagram|AcceptDeadline' ./internal/rudp/... .
+gate 'Stray|GarbageFirstDatagram|AcceptDeadline' -race ./internal/rudp/... .
 # Device-crash failover soaks under the race detector: the blackhole
 # fault injector plus the client's failover loop are the most
 # contended paths in the tree.
-go test -race -short -run 'Failover|Crash|Blackhole' ./internal/netsim/... .
+gate 'Failover|Crash|Blackhole' -race -short ./internal/netsim/... .
 # Session handoff soaks under the race detector: the checkpoint
 # capture, the handoff goroutine's queued-send path, and the
 # crash-recover-hot-join lifecycle all interleave with the flush and
 # failover paths.
-go test -race -short -run 'Handoff|HotJoin' ./internal/core/... .
+gate 'Handoff|HotJoin' -race -short ./internal/core/... .
 # Uplink allocation gate: the steady-state flush path must stay at
 # exactly zero allocations per frame. Runs without -race on purpose —
 # the race runtime's shadow allocations make an exact-zero assertion
 # impossible, so the race pass above skips this test by design.
-go test -run 'TestUplinkFlushZeroAllocSteadyState' -count=1 ./internal/core/
+gate 'TestUplinkFlushZeroAllocSteadyState' -count=1 ./internal/core/
 # Downlink allocation gate: the whole serve cycle — rudp receive,
 # reassembly, decompress, cache decode, wire decode, execute, encode,
 # reply send, ACK — must also be zero-alloc at steady state. Same
 # non-race rationale as the uplink gate.
-go test -run 'TestDownlinkServeZeroAllocSteadyState' -count=1 ./internal/core/
+gate 'TestDownlinkServeZeroAllocSteadyState' -count=1 ./internal/core/
 # Batched-egress race gates: sendmmsg/recvmmsg parity with the portable
 # loop (byte-identical wire traffic), and the fleet egress writer's
 # ordering/overflow behavior under producer concurrency.
 go test -race -count=1 ./internal/batchio/
-go test -race -run 'TestEgress' -count=1 ./internal/fleet/
+gate 'TestEgress' -race -count=1 ./internal/fleet/
 # Data-plane benchmark smoke: a few iterations per series prove the
-# parallel encode/raster/pipeline paths still run and refresh
+# parallel encode/raster paths still run and refresh
 # BENCH_dataplane.json's schema, while the MIN_MBPS gate catches a
 # single-thread turbo-encode throughput regression (the fixed-point
 # pipeline sustains ~110 MB/s at 720p; 60 leaves headroom for slow
@@ -91,7 +104,7 @@ go test -race -short ./internal/predict/ ./internal/timeseries/ ./internal/ifswi
 # Forecast on/off A/B smoke through the real player path: a predictive
 # session must run end to end and carry its prediction/energy block
 # through Player.Snapshot.
-go test -race -run 'TestPredictiveControlSnapshot|TestPredictDefaultOff' -count=1 .
+gate 'TestPredictiveControlSnapshot|TestPredictDefaultOff' -race -count=1 .
 # Predict benchmark smoke: proves the preset x forecast=on/off series
 # and the BENCH_predict.json summary still build. Full numbers come
 # from running scripts/bench_predict.sh without BENCHTIME.

@@ -23,7 +23,6 @@ type options struct {
 	quality         int
 	parallelism     int
 	diffThreshold   float64
-	pipelineDepth   int
 	adaptiveQuality bool
 	qualityFloor    int
 	predictive      bool
@@ -93,13 +92,6 @@ func WithDiffThreshold(t float64) Option {
 	}
 }
 
-// WithPipelineDepth bounds the stage-overlap queues (render/encode on
-// the server, receive/decode on the player): 0 keeps the default,
-// negative disables overlap entirely.
-func WithPipelineDepth(d int) Option {
-	return func(o *options) { o.pipelineDepth = d }
-}
-
 // WithPredictiveControl enables the player's predictive control plane:
 // an online ARMAX model fed each frame's exogenous signals (touch
 // events, texture count) and the session's observed traffic forecasts
@@ -149,8 +141,7 @@ type StreamServer struct {
 const defaultAcceptTimeout = 5 * time.Minute
 
 // NewStreamServer builds a server rendering at cfg's resolution,
-// tuned by opts (quality, parallelism, diff threshold, pipeline
-// depth).
+// tuned by opts (quality, parallelism, diff threshold).
 func NewStreamServer(cfg StreamServerConfig, opts ...Option) (*StreamServer, error) {
 	o := buildOptions(opts)
 	srv, err := core.NewServer(core.ServerConfig{
@@ -159,7 +150,6 @@ func NewStreamServer(cfg StreamServerConfig, opts ...Option) (*StreamServer, err
 		Quality:         o.quality,
 		Parallelism:     o.parallelism,
 		DiffThreshold:   o.diffThreshold,
-		PipelineDepth:   o.pipelineDepth,
 		AdaptiveQuality: o.adaptiveQuality,
 		QualityFloor:    o.qualityFloor,
 	})
@@ -347,12 +337,11 @@ func NewPlayer(cfg PlayerConfig, opts ...Option) (*Player, error) {
 	o := buildOptions(opts)
 	game := workload.NewGame(prof, cfg.Seed)
 	client, err := core.NewClient(core.ClientConfig{
-		Width:         cfg.Width,
-		Height:        cfg.Height,
-		Quality:       o.quality,
-		Arrays:        game.Arrays(),
-		Parallelism:   o.parallelism,
-		PipelineDepth: o.pipelineDepth,
+		Width:       cfg.Width,
+		Height:      cfg.Height,
+		Quality:     o.quality,
+		Arrays:      game.Arrays(),
+		Parallelism: o.parallelism,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("gbooster: %w", err)
@@ -506,8 +495,8 @@ type (
 	// HandoffStats summarizes the session's elastic-device activity.
 	HandoffStats = metrics.HandoffStats
 	// PlayerSnapshot is one consistent observation of a whole session:
-	// every stat block the five per-feature getters expose, read
-	// together. Feed it to metrics collectors via a metrics.Registry.
+	// every stat block read together. Feed it to metrics collectors via
+	// a metrics.Registry.
 	PlayerSnapshot = metrics.PlayerSnapshot
 	// FleetSnapshot is one consistent observation of a Fleet.
 	FleetSnapshot = metrics.FleetSnapshot
@@ -520,9 +509,8 @@ type (
 // streaming, failover, and handoff counter blocks from a single
 // underlying stats read, the per-device and per-transport views taken
 // back-to-back with it, the session age, and the frame-latency
-// accumulators StepFrame maintains. Prefer it over the per-feature
-// getters when reading more than one block — it is the input every
-// metrics collector consumes.
+// accumulators StepFrame maintains. It is the input every metrics
+// collector consumes.
 func (p *Player) Snapshot() PlayerSnapshot {
 	st := p.client.Stats()
 	s := PlayerSnapshot{
@@ -587,37 +575,6 @@ func (p *Player) Snapshot() PlayerSnapshot {
 	return s
 }
 
-// Stats returns transport-level counters for the session.
-//
-// Deprecated: read Snapshot().PlayerStats — one Snapshot call yields
-// every stat block consistently. Kept as a thin accessor.
-func (p *Player) Stats() PlayerStats {
-	return p.Snapshot().PlayerStats
-}
-
-// FailoverStats returns the session's failover counters.
-//
-// Deprecated: read Snapshot().FailoverStats. Kept as a thin accessor.
-func (p *Player) FailoverStats() FailoverStats {
-	return p.Snapshot().FailoverStats
-}
-
-// DeviceStates reports each attached device's failover health, in
-// attach order.
-//
-// Deprecated: read Snapshot().Devices. Kept as a thin accessor.
-func (p *Player) DeviceStates() []DeviceState {
-	return p.Snapshot().Devices
-}
-
-// TransportStats returns per-service transport health, in the order
-// services were attached.
-//
-// Deprecated: read Snapshot().Transports. Kept as a thin accessor.
-func (p *Player) TransportStats() []TransportHealth {
-	return p.Snapshot().Transports
-}
-
 // Drain administratively removes a connected service device from the
 // rotation: its in-flight frames migrate to the remaining replicas and
 // it receives no further traffic. The device stays attached; if it
@@ -625,13 +582,6 @@ func (p *Player) TransportStats() []TransportHealth {
 // bootstrap handoff.
 func (p *Player) Drain(service string) error {
 	return p.client.DrainService(service)
-}
-
-// HandoffStats returns the session's live-handoff counters.
-//
-// Deprecated: read Snapshot().HandoffStats. Kept as a thin accessor.
-func (p *Player) HandoffStats() HandoffStats {
-	return p.Snapshot().HandoffStats
 }
 
 // Close shuts the player down. With predictive control enabled it

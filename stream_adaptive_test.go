@@ -52,7 +52,7 @@ func runConstrainedSession(t *testing.T, seed uint64, frames int, opts ...Option
 		lat = append(lat, time.Since(start))
 	}
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return player.Stats(), lat
+	return player.Snapshot().PlayerStats, lat
 }
 
 // p99 returns the 99th-percentile of a sorted latency slice.

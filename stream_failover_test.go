@@ -64,11 +64,11 @@ func TestPlayerSurvivesDeviceCrash(t *testing.T) {
 			t.Fatalf("frame %d bounds %v", f, img.Bounds())
 		}
 	}
-	st := player.Stats()
-	if st.FramesSent != frames || st.FramesShown != frames {
-		t.Fatalf("stats sent=%d shown=%d, want %d", st.FramesSent, st.FramesShown, frames)
+	snap := player.Snapshot()
+	if snap.FramesSent != frames || snap.FramesShown != frames {
+		t.Fatalf("stats sent=%d shown=%d, want %d", snap.FramesSent, snap.FramesShown, frames)
 	}
-	fs := player.FailoverStats()
+	fs := snap.FailoverStats
 	if fs.ReDispatched == 0 {
 		t.Fatalf("crash did not trigger a re-dispatch: %+v", fs)
 	}
@@ -80,13 +80,13 @@ func TestPlayerSurvivesDeviceCrash(t *testing.T) {
 	}
 	// The dead device shows up in the health report.
 	unhealthy := 0
-	for _, ds := range player.DeviceStates() {
+	for _, ds := range snap.Devices {
 		if ds.Health != "healthy" {
 			unhealthy++
 		}
 	}
 	if unhealthy == 0 {
-		t.Fatalf("no device reported unhealthy after a crash: %+v", player.DeviceStates())
+		t.Fatalf("no device reported unhealthy after a crash: %+v", snap.Devices)
 	}
 }
 

@@ -76,7 +76,7 @@ func TestPlayerCrashRecoverHotJoinSoak(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		step()
 	}
-	if fs := player.FailoverStats(); fs.Evictions == 0 {
+	if fs := player.Snapshot().FailoverStats; fs.Evictions == 0 {
 		t.Fatalf("crashed device never evicted: %+v", fs)
 	}
 
@@ -87,25 +87,27 @@ func TestPlayerCrashRecoverHotJoinSoak(t *testing.T) {
 	crashPair[0].Restore()
 	crashPair[1].Restore()
 	deadline := time.Now().Add(30 * time.Second)
-	for player.HandoffStats().Completed == 0 {
+	for player.Snapshot().HandoffStats.Completed == 0 {
 		if time.Now().After(deadline) {
+			snap := player.Snapshot()
 			t.Fatalf("restored device never readmitted: handoff=%+v failover=%+v devices=%+v",
-				player.HandoffStats(), player.FailoverStats(), player.DeviceStates())
+				snap.HandoffStats, snap.FailoverStats, snap.Devices)
 		}
 		step()
 		time.Sleep(10 * time.Millisecond)
 	}
-	if fs := player.FailoverStats(); fs.Readmissions == 0 {
+	if fs := player.Snapshot().FailoverStats; fs.Readmissions == 0 {
 		t.Fatalf("handoff completed but device not readmitted: %+v", fs)
 	}
 
 	// Hot-join a brand-new server mid-session...
 	start("dev-D", 43)
 	deadline = time.Now().Add(15 * time.Second)
-	for player.HandoffStats().Completed < 2 {
+	for player.Snapshot().HandoffStats.Completed < 2 {
 		if time.Now().After(deadline) {
+			snap := player.Snapshot()
 			t.Fatalf("hot-join never completed: handoff=%+v devices=%+v",
-				player.HandoffStats(), player.DeviceStates())
+				snap.HandoffStats, snap.Devices)
 		}
 		step()
 		time.Sleep(5 * time.Millisecond)
@@ -119,15 +121,15 @@ func TestPlayerCrashRecoverHotJoinSoak(t *testing.T) {
 		step()
 	}
 
-	st := player.Stats()
-	if st.FramesSent != int64(frames) || st.FramesShown != int64(frames) {
-		t.Fatalf("sent=%d shown=%d, want %d each", st.FramesSent, st.FramesShown, frames)
+	snap := player.Snapshot()
+	if snap.FramesSent != int64(frames) || snap.FramesShown != int64(frames) {
+		t.Fatalf("sent=%d shown=%d, want %d each", snap.FramesSent, snap.FramesShown, frames)
 	}
-	fs := player.FailoverStats()
+	fs := snap.FailoverStats
 	if fs.FramesSkipped != 0 {
 		t.Fatalf("gap-skip tombstones after recovery: %+v", fs)
 	}
-	hs := player.HandoffStats()
+	hs := snap.HandoffStats
 	if hs.Completed < 2 || hs.BootstrapsSent < 2 || hs.BootstrapBytes <= 0 {
 		t.Fatalf("handoff stats %+v", hs)
 	}

@@ -43,11 +43,11 @@ func TestPlayerOverRealUDPLoopback(t *testing.T) {
 			t.Fatalf("bounds %v", img.Bounds())
 		}
 	}
-	st := player.Stats()
-	if st.FramesSent != 8 || st.FramesShown != 8 || st.WireBytes == 0 {
-		t.Fatalf("stats sent=%d shown=%d wire=%d", st.FramesSent, st.FramesShown, st.WireBytes)
+	snap := player.Snapshot()
+	if snap.FramesSent != 8 || snap.FramesShown != 8 || snap.WireBytes == 0 {
+		t.Fatalf("stats sent=%d shown=%d wire=%d", snap.FramesSent, snap.FramesShown, snap.WireBytes)
 	}
-	th := player.TransportStats()
+	th := snap.Transports
 	if len(th) != 1 {
 		t.Fatalf("transport health entries = %d, want 1", len(th))
 	}
