@@ -85,7 +85,6 @@ func NewFleet(cfg FleetConfig, opts ...Option) (*Fleet, error) {
 		Height:          cfg.Height,
 		Quality:         o.quality,
 		Parallelism:     o.parallelism,
-		DiffThreshold:   o.diffThreshold,
 		AdaptiveQuality: o.adaptiveQuality,
 		QualityFloor:    o.qualityFloor,
 		CacheBytes:      cfg.CacheBytes,

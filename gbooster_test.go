@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/gbooster/gbooster/internal/rudp"
+	"github.com/gbooster/gbooster/internal/netsim"
 )
 
 func TestWorkloadCatalog(t *testing.T) {
@@ -118,7 +118,7 @@ func TestPlayerOverInMemoryLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcC, pcS := rudp.NewMemPair(0.02, 9)
+	pcS, pcC := netsim.NewPair(netsim.LinkConfig{Loss: 0.02}, 9)
 	done := make(chan error, 1)
 	go func() { done <- srv.ServeConn(pcS, pcC.Addr()) }()
 	if err := player.ConnectConn("mem", pcC, pcS.Addr(), 1000); err != nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/gbooster/gbooster/internal/gles"
+	"github.com/gbooster/gbooster/internal/netsim"
 	"github.com/gbooster/gbooster/internal/rudp"
 )
 
@@ -33,7 +34,7 @@ func TestBurstBackpressureIsNotFailure(t *testing.T) {
 	// frame's ~14 unacked datagrams and must see saturation.
 	opts := rudp.DefaultOptions()
 	opts.Window = 24
-	pcC, pcS := rudp.NewMemPair(0, 7)
+	pcS, pcC := netsim.NewPair(netsim.LinkConfig{}, 7)
 	connC := rudp.New(pcC, pcS.Addr(), opts)
 	connS := rudp.New(pcS, pcC.Addr(), opts)
 	done := make(chan struct{})

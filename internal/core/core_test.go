@@ -8,6 +8,7 @@ import (
 
 	"github.com/gbooster/gbooster/internal/gles"
 	"github.com/gbooster/gbooster/internal/hook"
+	"github.com/gbooster/gbooster/internal/netsim"
 	"github.com/gbooster/gbooster/internal/rudp"
 	"github.com/gbooster/gbooster/internal/turbo"
 	"github.com/gbooster/gbooster/internal/workload"
@@ -40,7 +41,7 @@ func newRig(t *testing.T, n int, arrays *glwireArrays, loss float64) *rig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pcC, pcS := rudp.NewMemPair(loss, uint64(100+i))
+		pcS, pcC := netsim.NewPair(netsim.LinkConfig{Loss: loss}, uint64(100+i))
 		connC := rudp.New(pcC, pcS.Addr(), opts)
 		connS := rudp.New(pcS, pcC.Addr(), opts)
 		// Faster device for even indices: heterogeneity for Eq. 4.

@@ -28,15 +28,14 @@ func failoverCfg(arrays *glwireArrays) ClientConfig {
 type linkRig struct {
 	client  *Client
 	servers []*Server
-	links   [][2]*netsim.LinkConn // [client-side, server-side] per server
+	ports   []*netsim.HubPort // the client end of each server's link
 	wg      sync.WaitGroup
 }
 
 // crash emulates the death of server i: nothing it sends gets out, and
 // nothing sent to it arrives.
 func (r *linkRig) crash(i int) {
-	r.links[i][0].Blackhole()
-	r.links[i][1].Blackhole()
+	r.ports[i].Blackhole()
 }
 
 func newLinkRig(t *testing.T, n int, arrays *glwireArrays) *linkRig {
@@ -53,14 +52,14 @@ func newLinkRig(t *testing.T, n int, arrays *glwireArrays) *linkRig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lc, ls := netsim.NewLinkPair(netsim.LinkConfig{Delay: 200 * time.Microsecond}, uint64(50+i))
+		ls, lc := netsim.NewPair(netsim.LinkConfig{Delay: 200 * time.Microsecond}, uint64(50+i))
 		connC := rudp.New(lc, ls.Addr(), opts)
 		connS := rudp.New(ls, lc.Addr(), opts)
 		if err := client.AddService(srv.String(i), connC, 1000, 2*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 		r.servers = append(r.servers, srv)
-		r.links = append(r.links, [2]*netsim.LinkConn{lc, ls})
+		r.ports = append(r.ports, lc)
 		r.wg.Add(1)
 		go func(s *Server, c *rudp.Conn) {
 			defer r.wg.Done()
@@ -220,7 +219,7 @@ func TestFlushRollbackOnSendFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	pcC, pcS := rudp.NewMemPair(0, 1)
+	pcS, pcC := netsim.NewPair(netsim.LinkConfig{}, 1)
 	connC := rudp.New(pcC, pcS.Addr(), rudp.DefaultOptions())
 	if err := c.AddService("dead", connC, 1000, time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -279,7 +278,7 @@ func TestAddServicePreservesSchedulerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcC, pcS := rudp.NewMemPair(0, 9)
+	pcS, pcC := netsim.NewPair(netsim.LinkConfig{}, 9)
 	connC := rudp.New(pcC, pcS.Addr(), rudp.DefaultOptions())
 	connS := rudp.New(pcS, pcC.Addr(), rudp.DefaultOptions())
 	go func() {
@@ -312,7 +311,7 @@ func TestRecvLoopCountsDroppedMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	pcC, pcS := rudp.NewMemPair(0, 2)
+	pcS, pcC := netsim.NewPair(netsim.LinkConfig{}, 2)
 	connC := rudp.New(pcC, pcS.Addr(), rudp.DefaultOptions())
 	connS := rudp.New(pcS, pcC.Addr(), rudp.DefaultOptions())
 	defer connS.Close()

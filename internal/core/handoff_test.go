@@ -8,6 +8,7 @@ import (
 
 	"github.com/gbooster/gbooster/internal/dispatch"
 	"github.com/gbooster/gbooster/internal/gles"
+	"github.com/gbooster/gbooster/internal/netsim"
 	"github.com/gbooster/gbooster/internal/rudp"
 	"github.com/gbooster/gbooster/internal/workload"
 )
@@ -39,7 +40,7 @@ func addServer(t *testing.T, r *rig, name string, seed uint64) *Server {
 	}
 	opts := rudp.DefaultOptions()
 	opts.RTO = 10 * time.Millisecond
-	pcC, pcS := rudp.NewMemPair(0, seed)
+	pcS, pcC := netsim.NewPair(netsim.LinkConfig{}, seed)
 	connC := rudp.New(pcC, pcS.Addr(), opts)
 	connS := rudp.New(pcS, pcC.Addr(), opts)
 	r.wg.Add(1)
@@ -154,7 +155,7 @@ func TestHandoffAdmissionRequiresFingerprintMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = client.Close() }()
-	pcC, pcS := rudp.NewMemPair(0, 7)
+	pcS, pcC := netsim.NewPair(netsim.LinkConfig{}, 7)
 	defer func() { _ = pcS.Close() }()
 	conn := rudp.New(pcC, pcS.Addr(), rudp.DefaultOptions())
 	if err := client.AddService("dev", conn, 1000, time.Millisecond); err != nil {

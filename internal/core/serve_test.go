@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gbooster/gbooster/internal/netsim"
 	"github.com/gbooster/gbooster/internal/rudp"
 	"github.com/gbooster/gbooster/internal/turbo"
 )
@@ -13,7 +14,7 @@ import (
 // the loop's result once it has returned.
 func servePipe(t *testing.T, srv *Server, idle time.Duration) (*rudp.Conn, <-chan error) {
 	t.Helper()
-	pcC, pcS := rudp.NewMemPair(0, 42)
+	pcS, pcC := netsim.NewPair(netsim.LinkConfig{}, 42)
 	opts := rudp.DefaultOptions()
 	connC := rudp.New(pcC, pcS.Addr(), opts)
 	connS := rudp.New(pcS, pcC.Addr(), opts)

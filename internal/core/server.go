@@ -29,10 +29,6 @@ type ServerConfig struct {
 	// bands and codec tiles: 0 selects one worker per CPU, 1 the serial
 	// reference path. Output is byte-identical at every degree.
 	Parallelism int
-	// DiffThreshold overrides the turbo changed-tile sensitivity: 0
-	// keeps turbo.DefaultDiffThreshold, negative ships every
-	// nonidentical tile (exact mode).
-	DiffThreshold float64
 	// AdaptiveQuality enables the congestion-aware quality ladder:
 	// Quality becomes the ceiling, and the server steps encode quality
 	// down toward QualityFloor when the connection's rudp stats show
@@ -122,11 +118,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.gpu.SetParallelism(cfg.Parallelism)
 	s.enc.SetParallelism(cfg.Parallelism)
-	if cfg.DiffThreshold > 0 {
-		s.enc.SetDiffThreshold(cfg.DiffThreshold)
-	} else if cfg.DiffThreshold < 0 {
-		s.enc.SetDiffThreshold(0)
-	}
 	if cfg.AdaptiveQuality {
 		s.ladder = newQualityLadder(cfg.Quality, cfg.QualityFloor)
 	}

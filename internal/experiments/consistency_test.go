@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/gbooster/gbooster/internal/core"
+	"github.com/gbooster/gbooster/internal/netsim"
 	"github.com/gbooster/gbooster/internal/rudp"
 	"github.com/gbooster/gbooster/internal/workload"
 )
@@ -35,7 +36,7 @@ func TestDataPlaneModelConsistency(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pcC, pcS := rudp.NewMemPair(0, 3)
+			pcS, pcC := netsim.NewPair(netsim.LinkConfig{}, 3)
 			connC := rudp.New(pcC, pcS.Addr(), rudp.DefaultOptions())
 			connS := rudp.New(pcS, pcC.Addr(), rudp.DefaultOptions())
 			go func() {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"testing"
 	"time"
 
 	"github.com/gbooster/gbooster/internal/cmdcache"
@@ -12,8 +13,24 @@ import (
 	"github.com/gbooster/gbooster/internal/gles"
 	"github.com/gbooster/gbooster/internal/glwire"
 	"github.com/gbooster/gbooster/internal/lz4"
+	"github.com/gbooster/gbooster/internal/netsim"
 	"github.com/gbooster/gbooster/internal/rudp"
 )
+
+// newStar attaches n lossless ports to a fresh hub: the fleet's listener
+// and one source address per client.
+func newStar(tb testing.TB, n int, seed uint64) (*netsim.Hub, []*netsim.HubPort) {
+	tb.Helper()
+	hub := netsim.NewHub("")
+	leaves := make([]*netsim.HubPort, n)
+	for i := range leaves {
+		var err error
+		if leaves[i], err = hub.Attach(fmt.Sprintf("leaf-%d", i), netsim.LinkConfig{}, seed+uint64(i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return hub, leaves
+}
 
 // testClient speaks the full client uplink pipeline — GL command
 // builders, wire encoding, mirrored command cache, inter-frame LZ4

@@ -14,10 +14,10 @@ const (
 	// DefaultEgressBatch is how many queued datagrams one drain flush
 	// hands to batchio when Config.EgressBatch is zero.
 	DefaultEgressBatch = batchio.MaxBatch
-	// DefaultEgressQueue bounds the egress FIFO, in datagrams, when
-	// Config.EgressQueue is zero. At the default rudp payload size the
-	// queue tops out around 5 MB — bounded backlog, not bounded loss:
-	// overflow drops are recovered by rudp retransmission.
+	// DefaultEgressQueue bounds the fleet's egress FIFO, in datagrams.
+	// At the default rudp payload size the queue tops out around 5 MB —
+	// bounded backlog, not bounded loss: a full queue drops rather than
+	// blocks, and rudp retransmission recovers the loss.
 	DefaultEgressQueue = 4096
 )
 

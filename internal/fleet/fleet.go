@@ -69,9 +69,6 @@ type Config struct {
 	// provides, and per-session worker fan-out would multiply into
 	// sessions x workers threads.
 	Parallelism int
-	// DiffThreshold is the encoder's changed-tile sensitivity
-	// (0 = library default, negative = exact).
-	DiffThreshold float64
 	// AdaptiveQuality enables each session's congestion-aware quality
 	// ladder (Quality becomes the ceiling); QualityFloor is the
 	// ladder's lower bound (0 = core.DefaultQualityFloor).
@@ -91,21 +88,11 @@ type Config struct {
 	// IdleTimeout reaps sessions with no inbound traffic
 	// (0 = DefaultIdleTimeout).
 	IdleTimeout time.Duration
-	// WheelTick is the shared retransmission wheel's resolution
-	// (0 = rudp.DefaultWheelTick).
-	WheelTick time.Duration
 	// EgressBatch selects the coalescing egress writer: 0 enables it
 	// with DefaultEgressBatch, a positive value sets the per-flush
 	// batch, and a negative value disables it so every send is a
 	// direct WriteTo on the listener (the pre-batching behavior).
 	EgressBatch int
-	// EgressQueue bounds the egress FIFO in datagrams
-	// (0 = DefaultEgressQueue). A full queue drops rather than blocks;
-	// rudp retransmission recovers the loss.
-	EgressQueue int
-	// Transport overrides the per-session rudp options; the zero value
-	// selects rudp.DefaultOptions.
-	Transport rudp.Options
 }
 
 func (c Config) withDefaults() Config {
@@ -126,12 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EgressBatch == 0 {
 		c.EgressBatch = DefaultEgressBatch
-	}
-	if c.EgressQueue <= 0 {
-		c.EgressQueue = DefaultEgressQueue
-	}
-	if (c.Transport == rudp.Options{}) {
-		c.Transport = rudp.DefaultOptions()
 	}
 	return c
 }
@@ -186,7 +167,6 @@ func (m *Manager) newSessionServer() (*core.Server, error) {
 		Quality:         m.cfg.Quality,
 		CacheBytes:      m.cfg.CacheBytes,
 		Parallelism:     m.cfg.Parallelism,
-		DiffThreshold:   m.cfg.DiffThreshold,
 		AdaptiveQuality: m.cfg.AdaptiveQuality,
 		QualityFloor:    m.cfg.QualityFloor,
 	})
@@ -238,7 +218,7 @@ func New(pc net.PacketConn, cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:   cfg,
 		pc:    pc,
-		wheel: rudp.NewWheel(cfg.WheelTick, 2*cfg.MaxSessions),
+		wheel: rudp.NewWheel(rudp.DefaultWheelTick, 2*cfg.MaxSessions),
 		gate:  dispatch.NewGate(cfg.GateWidth),
 		done:  make(chan struct{}),
 	}
@@ -247,7 +227,7 @@ func New(pc net.PacketConn, cfg Config) (*Manager, error) {
 	}
 	m.tx = pc
 	if cfg.EgressBatch > 0 {
-		m.egress = newEgressConn(pc, cfg.EgressBatch, cfg.EgressQueue)
+		m.egress = newEgressConn(pc, cfg.EgressBatch, DefaultEgressQueue)
 		m.tx = m.egress
 		m.wg.Add(1)
 		go func() {
@@ -483,7 +463,7 @@ func (m *Manager) admit(peer net.Addr, key string) (*session, error) {
 		// that queues every reply, ACK, and wheel retransmit for
 		// batched sends instead of hitting the socket one syscall per
 		// datagram.
-		conn: rudp.NewDemuxed(m.tx, peer, m.cfg.Transport, m.wheel),
+		conn: rudp.NewDemuxed(m.tx, peer, rudp.DefaultOptions(), m.wheel),
 	}
 	sh := m.shardFor(key)
 	sh.mu.Lock()

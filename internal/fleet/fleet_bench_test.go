@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/gbooster/gbooster/internal/fleet"
-	"github.com/gbooster/gbooster/internal/rudp"
 )
 
 // BenchmarkFleetServe measures the steady-state serve path — datagram
@@ -35,7 +34,7 @@ func BenchmarkFleetServe(b *testing.B) {
 }
 
 func benchFleetServe(b *testing.B, sessions int) {
-	hub, leaves := rudp.NewMemHub(sessions, 0, 99)
+	hub, leaves := newStar(b, sessions, 99)
 	cfg := newFleetConfig()
 	cfg.MaxSessions = sessions
 	cfg.IdleTimeout = time.Hour // never reap mid-bench

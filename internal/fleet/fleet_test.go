@@ -13,7 +13,7 @@ import (
 )
 
 func TestFleetSmoke(t *testing.T) {
-	hub, leaves := rudp.NewMemHub(2, 0, 101)
+	hub, leaves := newStar(t, 2, 101)
 	cfg := newFleetConfig()
 	m, err := fleet.New(hub, cfg)
 	if err != nil {
@@ -55,7 +55,7 @@ func TestFleetSmoke(t *testing.T) {
 }
 
 func TestFleetAdmissionOverCapacity(t *testing.T) {
-	hub, leaves := rudp.NewMemHub(3, 0, 7)
+	hub, leaves := newStar(t, 3, 7)
 	cfg := newFleetConfig()
 	cfg.MaxSessions = 2
 	cfg.IdleTimeout = 2 * time.Second
@@ -108,7 +108,7 @@ func TestFleetAdmissionOverCapacity(t *testing.T) {
 }
 
 func TestFleetDropsNonProtocolDatagrams(t *testing.T) {
-	hub, leaves := rudp.NewMemHub(1, 0, 13)
+	hub, leaves := newStar(t, 1, 13)
 	m, err := fleet.New(hub, newFleetConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestFleetCloseDuringAdmission(t *testing.T) {
 		iters = 10
 	}
 	for i := 0; i < iters; i++ {
-		hub, leaves := rudp.NewMemHub(1, 0, uint64(900+i))
+		hub, leaves := newStar(t, 1, uint64(900+i))
 		m, err := fleet.New(hub, newFleetConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -185,7 +185,7 @@ func TestFleetChurnSoak(t *testing.T) {
 	if testing.Short() {
 		workers, lives, frames = 16, 2, 4
 	}
-	hub, leaves := rudp.NewMemHub(workers*lives, 0, 4040)
+	hub, leaves := newStar(t, workers*lives, 4040)
 	cfg := newFleetConfig()
 	cfg.MaxSessions = workers * lives
 	// The idle timeout must dominate any inter-frame gap a loaded demux

@@ -10,19 +10,71 @@ import (
 	"github.com/gbooster/gbooster/internal/sim"
 )
 
-// Hub is the fleet-side endpoint of a many-client emulated network: one
-// net.PacketConn aggregating any number of per-client emulated links,
-// each with its own loss/jitter/bandwidth model and a unique source
-// address. A LinkConn pair cannot serve this topology — both ends of
-// every pair share the fixed "link-a"/"link-b" addresses, and a fleet
-// demultiplexes sessions by source address — so the load harness hands
-// a Hub to Fleet.ServeConn and one HubPort to each simulated player.
+// LinkConfig parameterizes a packet-level emulated path. Unlike Link
+// (an analytic latency model for the virtual-time experiments), a Hub
+// really carries datagrams between net.PacketConn endpoints in
+// wall-clock time, so the reliable-UDP transport can be soak-tested
+// against loss, delay, jitter, and queueing exactly as it would run
+// over a radio.
+type LinkConfig struct {
+	// Delay is the one-way propagation delay.
+	Delay time.Duration
+	// JitterStd is the standard deviation of per-datagram delay noise
+	// (truncated so delivery never precedes the propagation delay).
+	JitterStd time.Duration
+	// Loss is the independent datagram loss probability per direction.
+	Loss float64
+	// Bandwidth caps each direction in bytes/second; zero means
+	// unlimited. Serialization time queues behind earlier datagrams.
+	Bandwidth float64
+	// MaxQueue bounds the serialization backlog: a datagram whose
+	// queueing delay would exceed it is tail-dropped, the way a router
+	// sheds an overflowing buffer. Zero defaults to 100 ms.
+	MaxQueue time.Duration
+}
+
+func (cfg LinkConfig) withDefaults() LinkConfig {
+	if cfg.MaxQueue <= 0 {
+		cfg.MaxQueue = 100 * time.Millisecond
+	}
+	return cfg
+}
+
+// linkAddr names a Hub or HubPort endpoint.
+type linkAddr string
+
+// Network names the emulated network.
+func (a linkAddr) Network() string { return "linksim" }
+
+// String renders the address.
+func (a linkAddr) String() string { return string(a) }
+
+var errLinkClosed = errors.New("netsim: link conn closed")
+
+type linkPacket struct {
+	data []byte
+	from net.Addr
+}
+
+// linkTimeoutError satisfies net.Error for deadline expiry.
+type linkTimeoutError struct{}
+
+func (*linkTimeoutError) Error() string   { return "netsim: i/o timeout" }
+func (*linkTimeoutError) Timeout() bool   { return true }
+func (*linkTimeoutError) Temporary() bool { return true }
+
+// Hub is the only in-memory network in the tree: one net.PacketConn —
+// the server (or fleet) end — aggregating any number of per-client
+// emulated links, each with its own loss/jitter/bandwidth model and a
+// unique source address, which is what a fleet demultiplexes sessions
+// by. The load harness hands a Hub to Fleet.ServeConn and one HubPort
+// to each simulated player; a two-endpoint test uses NewPair.
 //
 // Datagram flow: a client writes into its HubPort, the port's uplink
 // shaper delays or drops it, and it surfaces at the Hub's ReadFrom with
 // the port's address; the fleet writes to that address, the port's
 // downlink shaper runs, and the datagram surfaces at the port's
-// ReadFrom. The two directions shape independently, like LinkConn's.
+// ReadFrom. The two directions shape independently.
 type Hub struct {
 	addr linkAddr
 
@@ -31,11 +83,25 @@ type Hub struct {
 	queue    chan linkPacket
 	closed   bool
 	deadline time.Time
+	stats    HubStats
+}
 
-	// DetachedDrops counts datagrams the fleet wrote to an address with
-	// no attached port — traffic to a departed (or crashed and
-	// detached) client, which a real network would also eat.
-	DetachedDrops int64
+// HubStats counts the datagrams the hub end discarded.
+type HubStats struct {
+	// Detached counts datagrams the fleet wrote to an address with no
+	// attached port — traffic to a departed (or crashed and detached)
+	// client, which a real network would also eat.
+	Detached int64
+	// Overflow counts uplink datagrams discarded because the hub's
+	// receive queue was full.
+	Overflow int64
+}
+
+// Stats returns the hub's drop counters.
+func (h *Hub) Stats() HubStats {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.stats
 }
 
 // NewHub returns an empty hub named addr ("hub" if empty).
@@ -50,6 +116,18 @@ func NewHub(addr string) *Hub {
 	}
 }
 
+// NewPair returns a two-endpoint network: a hub (the server end) with
+// a single attached port (the client end) emulating cfg in both
+// directions.
+func NewPair(cfg LinkConfig, seed uint64) (*Hub, *HubPort) {
+	h := NewHub("")
+	p, err := h.Attach("port", cfg, seed)
+	if err != nil {
+		panic(err) // a fresh hub cannot refuse a valid name
+	}
+	return h, p
+}
+
 // HubPort is one client's endpoint on a Hub: a net.PacketConn whose
 // peer is the hub address, with independent uplink/downlink shaping.
 type HubPort struct {
@@ -62,19 +140,41 @@ type HubPort struct {
 	closed   bool
 	deadline time.Time
 
-	// Crash fault injector, as on LinkConn but covering both
-	// directions at once: a blackholed port's client reaches nobody and
-	// receives nothing.
-	blackholed bool
-
-	// BlackholeDrops counts datagrams (both directions) eaten while
-	// blackholed.
-	BlackholeDrops int64
+	// Crash fault injector covering both directions at once: a
+	// blackholed port's client reaches nobody and receives nothing.
+	blackholed     bool
+	blackholeDrops int64
+	overflow       int64
 }
 
-// linkShaper emulates one direction of a path: LinkConn's loss /
-// serialization-queue / propagation / jitter model, reusable per
-// direction. Callers synchronize access.
+// PortStats counts the datagrams one port's emulated link discarded.
+type PortStats struct {
+	// UpLoss and DownLoss count datagrams lost to the loss model,
+	// UpTail and DownTail those tail-dropped by the bandwidth queue (up
+	// is port→hub).
+	UpLoss, UpTail, DownLoss, DownTail int64
+	// Blackhole counts datagrams (both directions) eaten while
+	// blackholed.
+	Blackhole int64
+	// Overflow counts downlink datagrams discarded because the port's
+	// receive queue was full.
+	Overflow int64
+}
+
+// Stats returns the port's drop counters.
+func (p *HubPort) Stats() PortStats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return PortStats{
+		UpLoss: p.up.Drops, UpTail: p.up.QueueDrops,
+		DownLoss: p.down.Drops, DownTail: p.down.QueueDrops,
+		Blackhole: p.blackholeDrops, Overflow: p.overflow,
+	}
+}
+
+// linkShaper emulates one direction of a path: a loss /
+// serialization-queue / propagation / jitter model. Callers synchronize
+// access.
 type linkShaper struct {
 	cfg       LinkConfig
 	rng       *sim.RNG
@@ -144,7 +244,7 @@ func (h *Hub) Attach(name string, cfg LinkConfig, seed uint64) (*HubPort, error)
 }
 
 // Detach removes the named port from the hub; subsequent fleet writes
-// to its address are counted in DetachedDrops. The port itself stays
+// to its address are counted in HubStats.Detached. The port itself stays
 // usable only for Close.
 func (h *Hub) Detach(name string) {
 	h.mu.Lock()
@@ -169,7 +269,7 @@ func (h *Hub) WriteTo(p []byte, addr net.Addr) (int, error) {
 	}
 	port := h.ports[addr.String()]
 	if port == nil {
-		h.DetachedDrops++
+		h.stats.Detached++
 		h.mu.Unlock()
 		return len(p), nil // client gone: lost without a trace
 	}
@@ -181,7 +281,7 @@ func (h *Hub) WriteTo(p []byte, addr net.Addr) (int, error) {
 		return len(p), nil
 	}
 	if port.blackholed {
-		port.BlackholeDrops++
+		port.blackholeDrops++
 		port.mu.Unlock()
 		return len(p), nil
 	}
@@ -224,6 +324,7 @@ func (h *Hub) deliver(pkt linkPacket) {
 	select {
 	case h.queue <- pkt:
 	default:
+		h.stats.Overflow++
 	}
 }
 
@@ -284,7 +385,7 @@ func (p *HubPort) WriteTo(b []byte, addr net.Addr) (int, error) {
 		return 0, errLinkClosed
 	}
 	if p.blackholed {
-		p.BlackholeDrops++
+		p.blackholeDrops++
 		p.mu.Unlock()
 		return len(b), nil // crashed device: lost without a trace
 	}
@@ -324,6 +425,7 @@ func (p *HubPort) deliver(pkt linkPacket) {
 	select {
 	case p.queue <- pkt:
 	default:
+		p.overflow++
 	}
 }
 
@@ -342,9 +444,15 @@ func (p *HubPort) Restore() {
 	p.blackholed = false
 }
 
-// Close implements net.PacketConn and detaches the port from the hub.
+// Close implements net.PacketConn and detaches the port from the hub —
+// unless the name has since been re-attached: a stale port's repeated
+// Close must not evict its successor.
 func (p *HubPort) Close() error {
-	p.hub.Detach(string(p.addr))
+	p.hub.mu.Lock()
+	if p.hub.ports[string(p.addr)] == p {
+		delete(p.hub.ports, string(p.addr))
+	}
+	p.hub.mu.Unlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.closed {
@@ -394,3 +502,4 @@ func readPacket(queue chan linkPacket, deadline time.Time, p []byte) (int, net.A
 
 var _ net.PacketConn = (*Hub)(nil)
 var _ net.PacketConn = (*HubPort)(nil)
+var _ net.Error = (*linkTimeoutError)(nil)

@@ -96,8 +96,8 @@ func ProfileByName(name string) (Profile, error) {
 	return Profile{}, fmt.Errorf("netsim: unknown link profile %q (have %s)", name, strings.Join(ProfileNames(), ", "))
 }
 
-// NewPair returns two connected endpoints emulating the profile, like
-// NewLinkPair with the profile's config.
-func (p Profile) NewPair(seed uint64) (*LinkConn, *LinkConn) {
-	return NewLinkPair(p.Link, seed)
+// NewPair returns a hub and its single port emulating the profile:
+// NewPair with the profile's config.
+func (p Profile) NewPair(seed uint64) (*Hub, *HubPort) {
+	return NewPair(p.Link, seed)
 }

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"github.com/gbooster/gbooster/internal/netsim"
 )
 
 // dataPacket builds one wire data datagram whose payload is a single
@@ -27,7 +29,7 @@ func dataPacket(seq uint32, body []byte) []byte {
 }
 
 func TestInjectNeverBlocksOnStalledConsumer(t *testing.T) {
-	pcA, pcB := NewMemPair(0, 1)
+	pcB, pcA := netsim.NewPair(netsim.LinkConfig{}, 1)
 	defer pcA.Close()
 	defer pcB.Close()
 	wheel := NewWheel(0, 8)
@@ -75,7 +77,7 @@ func TestInjectNeverBlocksOnStalledConsumer(t *testing.T) {
 }
 
 func TestRecvBackpressureRetransmitRepairs(t *testing.T) {
-	pcA, pcB := NewMemPair(0, 2)
+	pcB, pcA := netsim.NewPair(netsim.LinkConfig{}, 2)
 	opts := DefaultOptions()
 	opts.RTO = 10 * time.Millisecond
 	opts.RecvQueue = 8

@@ -8,13 +8,15 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/gbooster/gbooster/internal/netsim"
 )
 
 // wrapPair builds a connected pair whose a→b sequence space starts at
 // start, so tests can cross the uint32 boundary in a few datagrams.
 func wrapPair(t *testing.T, start uint32, loss float64, seed uint64) (*Conn, *Conn) {
 	t.Helper()
-	pcA, pcB := NewMemPair(loss, seed)
+	pcB, pcA := netsim.NewPair(netsim.LinkConfig{Loss: loss}, seed)
 	opts := DefaultOptions()
 	opts.RTO = 10 * time.Millisecond
 	a := New(pcA, pcB.Addr(), opts)
@@ -302,7 +304,7 @@ func TestInjectFirstDatagram(t *testing.T) {
 	// An accept path that peeks the first datagram off the socket (to
 	// learn the peer address) injects it instead of dropping it: the
 	// session must start without a forced retransmit or duplicate.
-	pcA, pcB := NewMemPair(0, 9)
+	pcB, pcA := netsim.NewPair(netsim.LinkConfig{}, 9)
 	opts := DefaultOptions()
 	opts.RTO = 300 * time.Millisecond // ample: a retransmit means the fix failed
 	a := New(pcA, pcB.Addr(), opts)
@@ -380,7 +382,7 @@ func TestFastRetransmitRecoversLoss(t *testing.T) {
 func TestStatsNotCountedOnFailedWrite(t *testing.T) {
 	// A conn whose socket is already closed must not count bytes it
 	// never managed to write.
-	pcA, pcB := NewMemPair(0, 13)
+	pcB, pcA := netsim.NewPair(netsim.LinkConfig{}, 13)
 	a := New(pcA, pcB.Addr(), DefaultOptions())
 	defer a.Close()
 	defer pcB.Close()

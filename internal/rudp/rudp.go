@@ -47,8 +47,8 @@
 // processing — as the A/B baseline for the loss soak benchmarks.
 //
 // Conn runs over any net.PacketConn: real UDP sockets in the demo
-// binaries, the in-memory lossy pair from this package, or netsim's
-// delay/jitter/bandwidth link emulator in soak tests.
+// binaries, or netsim's loss/delay/jitter/bandwidth emulator
+// (netsim.Hub) in tests and harnesses.
 package rudp
 
 import (

@@ -7,12 +7,15 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"github.com/gbooster/gbooster/internal/netsim"
 )
 
-// pair builds two connected Conns over the in-memory network.
+// pair builds two connected Conns over the in-memory network: a on the
+// port (its Close leaves b open and silent), b on the hub.
 func pair(t *testing.T, loss float64) (*Conn, *Conn) {
 	t.Helper()
-	pcA, pcB := NewMemPair(loss, 99)
+	pcB, pcA := netsim.NewPair(netsim.LinkConfig{Loss: loss}, 99)
 	opts := DefaultOptions()
 	opts.RTO = 10 * time.Millisecond
 	a := New(pcA, pcB.Addr(), opts)
@@ -168,13 +171,13 @@ func TestSendAfterClose(t *testing.T) {
 		t.Fatal("recv should not succeed with nothing sent")
 	}
 	// Close is idempotent.
-	if err := a.Close(); err != nil && !errors.Is(err, errMemClosed) {
+	if err := a.Close(); err != nil {
 		t.Fatalf("double close error = %v", err)
 	}
 }
 
 func TestMessageTooLarge(t *testing.T) {
-	pcA, pcB := NewMemPair(0, 1)
+	pcB, pcA := netsim.NewPair(netsim.LinkConfig{}, 1)
 	opts := DefaultOptions()
 	opts.MaxMessage = 10
 	a := New(pcA, pcB.Addr(), opts)
@@ -247,40 +250,10 @@ func TestOverRealUDPLoopback(t *testing.T) {
 	}
 }
 
-func TestMemConnDeadline(t *testing.T) {
-	a, _ := NewMemPair(0, 3)
-	defer a.Close()
-	if err := a.SetReadDeadline(time.Now().Add(10 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 16)
-	_, _, err := a.ReadFrom(buf)
-	var ne net.Error
-	if !errors.As(err, &ne) || !ne.Timeout() {
-		t.Fatalf("deadline error = %v", err)
-	}
-}
-
-func TestMemConnLossInjection(t *testing.T) {
-	a, b := NewMemPair(1.0, 5) // everything dropped
-	defer a.Close()
-	defer b.Close()
-	if _, err := a.WriteTo([]byte("x"), b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if a.DropCount != 1 {
-		t.Fatalf("DropCount = %d", a.DropCount)
-	}
-	_ = b.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
-	if _, _, err := b.ReadFrom(make([]byte, 4)); err == nil {
-		t.Fatal("dropped packet was delivered")
-	}
-}
-
 func TestReliabilityUnderReordering(t *testing.T) {
-	pcA, pcB := NewMemPair(0, 77)
-	pcA.SetReorder(0.3)
-	pcB.SetReorder(0.3)
+	// Jitter far above the back-to-back send gap: each datagram's
+	// delivery timer fires independently, so they overtake each other.
+	pcB, pcA := netsim.NewPair(netsim.LinkConfig{JitterStd: time.Millisecond}, 77)
 	opts := DefaultOptions()
 	opts.RTO = 10 * time.Millisecond
 	a := New(pcA, pcB.Addr(), opts)
@@ -317,8 +290,7 @@ func TestReliabilityUnderReordering(t *testing.T) {
 }
 
 func TestReliabilityUnderLossAndReordering(t *testing.T) {
-	pcA, pcB := NewMemPair(0.08, 78)
-	pcA.SetReorder(0.25)
+	pcB, pcA := netsim.NewPair(netsim.LinkConfig{Loss: 0.08, JitterStd: time.Millisecond}, 78)
 	opts := DefaultOptions()
 	opts.RTO = 10 * time.Millisecond
 	a := New(pcA, pcB.Addr(), opts)

@@ -40,7 +40,7 @@ func soakPayload(i, size int) []byte {
 // loss, reordering, or corruption of the message stream.
 func runSoak(t *testing.T, opts rudp.Options, cfg netsim.LinkConfig, seed uint64, msgs, size int) soakResult {
 	t.Helper()
-	la, lb := netsim.NewLinkPair(cfg, seed)
+	lb, la := netsim.NewPair(cfg, seed)
 	a := rudp.New(la, lb.Addr(), opts)
 	b := rudp.New(lb, la.Addr(), opts)
 	defer a.Close()

@@ -2,13 +2,12 @@
 // to discard the sender address returned by ReadFrom, so ANY datagram
 // landing on the socket — spoofed, misrouted, or from a previous
 // session — was processed as if the registered peer had sent it and
-// could corrupt ACK/sequence state. netsim's InjectFrom plays the
-// off-path attacker here.
+// could corrupt ACK/sequence state. A second port on the server's hub
+// plays the off-path attacker here.
 package rudp_test
 
 import (
 	"encoding/binary"
-	"net"
 	"testing"
 	"time"
 
@@ -34,11 +33,16 @@ func forgeDataPacket(seq uint32, msg string) []byte {
 }
 
 func TestStrayDatagramViaNetsim(t *testing.T) {
-	la, lb := netsim.NewLinkPair(netsim.LinkConfig{Delay: time.Millisecond}, 31)
-	server := rudp.New(la, lb.Addr(), rudp.DefaultOptions())
-	client := rudp.New(lb, la.Addr(), rudp.DefaultOptions())
+	cfg := netsim.LinkConfig{Delay: time.Millisecond}
+	hub, port := netsim.NewPair(cfg, 31)
+	server := rudp.New(hub, port.Addr(), rudp.DefaultOptions())
+	client := rudp.New(port, hub.Addr(), rudp.DefaultOptions())
 	defer server.Close()
 	defer client.Close()
+	attacker, err := hub.Attach("attacker", cfg, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	forged := forgeDataPacket(0, "evil")
 	if !rudp.IsProtocolDatagram(forged) {
@@ -48,8 +52,9 @@ func TestStrayDatagramViaNetsim(t *testing.T) {
 	// before the real client says anything. It claims the same seq 0 the
 	// client's first datagram will use: processed, it would poison the
 	// receive window and turn the real datagram into a duplicate.
-	attacker := &net.UDPAddr{IP: net.IPv4(198, 51, 100, 7), Port: 4444}
-	la.InjectFrom(attacker, forged)
+	if _, err := attacker.WriteTo(forged, hub.Addr()); err != nil {
+		t.Fatal(err)
+	}
 	time.Sleep(20 * time.Millisecond)
 
 	if err := client.Send([]byte("real")); err != nil {

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/gbooster/gbooster/internal/netsim"
 )
 
 // demux pumps one shared PacketConn and routes datagrams to registered
@@ -72,10 +74,25 @@ func (d *demux) close() {
 	d.wg.Wait()
 }
 
+// newStar attaches n ports emulating cfg to a fresh hub: one listener
+// serving n remote peers.
+func newStar(t *testing.T, n int, cfg netsim.LinkConfig, seed uint64) (*netsim.Hub, []*netsim.HubPort) {
+	t.Helper()
+	hub := netsim.NewHub("")
+	leaves := make([]*netsim.HubPort, n)
+	for i := range leaves {
+		var err error
+		if leaves[i], err = hub.Attach(fmt.Sprintf("leaf-%d", i), cfg, seed+uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return hub, leaves
+}
+
 func TestWheelScheduleFireRemove(t *testing.T) {
 	w := NewWheel(time.Millisecond, 8)
 	defer w.Close()
-	pcA, pcB := NewMemPair(0, 11)
+	pcB, pcA := netsim.NewPair(netsim.LinkConfig{}, 11)
 	defer pcB.Close()
 	c := NewDemuxed(pcA, pcB.Addr(), DefaultOptions(), w)
 	defer c.Close()
@@ -104,13 +121,10 @@ func TestWheelScheduleFireRemove(t *testing.T) {
 }
 
 func TestWheelDrivesRetransmission(t *testing.T) {
-	// One-way loss severe enough that the first copy of some datagram
-	// dies: only the wheel can resend it, because a demuxed conn runs
-	// no retransmitLoop of its own.
-	hub, leaves := NewMemHub(1, 0, 1234)
-	leaf := leaves[0]
-	leaf.loss = 0 // leaf->hub lossless so ACKs always return
-	hub.loss = 0.4
+	// Loss severe enough that the first copy of some datagram dies:
+	// only the wheel can resend it, because a demuxed conn runs no
+	// retransmitLoop of its own.
+	hub, leaf := netsim.NewPair(netsim.LinkConfig{Loss: 0.25}, 1234)
 
 	w := NewWheel(time.Millisecond, 64)
 	defer w.Close()
@@ -149,7 +163,7 @@ func TestWheelDrivesRetransmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := server.Stats(); st.DataResent == 0 {
-		t.Fatal("40% loss with wheel-driven timers produced zero retransmissions")
+		t.Fatal("25% loss with wheel-driven timers produced zero retransmissions")
 	}
 	// Quiescent conn: once everything is acked the wheel forgets it.
 	deadline := time.Now().Add(2 * time.Second)
@@ -162,7 +176,7 @@ func TestWheelDrivesRetransmission(t *testing.T) {
 }
 
 func TestDemuxedConnsRunNoGoroutines(t *testing.T) {
-	hub, leaves := NewMemHub(64, 0, 7)
+	hub, leaves := newStar(t, 64, netsim.LinkConfig{}, 7)
 	defer hub.Close()
 	for _, l := range leaves {
 		defer l.Close()
@@ -195,7 +209,7 @@ func TestReadLoopDropsStrayPeer(t *testing.T) {
 	// leaf 1 lands a perfectly well-formed DATA datagram on the shared
 	// socket. Before source validation the conn would deliver it as the
 	// peer's seq-0 message and desynchronize the real stream.
-	hub, leaves := NewMemHub(2, 0, 21)
+	hub, leaves := newStar(t, 2, netsim.LinkConfig{}, 21)
 	real, evil := leaves[0], leaves[1]
 	defer evil.Close()
 
@@ -269,7 +283,7 @@ func TestDemuxedBidirectionalUnderLoss(t *testing.T) {
 	// every path drops 10%: reliability must hold per session with no
 	// cross-talk, all retransmissions wheel-driven on the hub side.
 	const sessions = 4
-	hub, leaves := NewMemHub(sessions, 0.10, 4242)
+	hub, leaves := newStar(t, sessions, netsim.LinkConfig{Loss: 0.10}, 4242)
 	w := NewWheel(time.Millisecond, 256)
 	defer w.Close()
 	opts := DefaultOptions()

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repo check gate: the tier-1 verify from ROADMAP.md plus static vetting
 # and race-detector coverage of the concurrency-heavy packages (the
-# reliable-UDP transport and the client/server core). Loss-soak tests
+# in-memory network every test runs on, the reliable-UDP transport and
+# the client/server core). Loss-soak tests
 # honor -short, so the race pass stays fast.
 set -eux
 
@@ -23,7 +24,7 @@ gate() {
 go build ./...
 go vet ./...
 go test ./...
-go test -race -short ./internal/rudp/... ./internal/core/...
+go test -race -short ./internal/netsim/... ./internal/rudp/... ./internal/core/...
 # Fleet soak under the race detector: 64 sessions with churn and crash
 # injection demuxed over one listener, plus the dispatch gate. The
 # demux loop, timer wheel, admission path, and idle reaper all

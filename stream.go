@@ -22,7 +22,6 @@ import (
 type options struct {
 	quality         int
 	parallelism     int
-	diffThreshold   float64
 	adaptiveQuality bool
 	qualityFloor    int
 	predictive      bool
@@ -79,19 +78,6 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithDiffThreshold overrides the encoder's changed-tile sensitivity
-// (mean absolute difference in 8-bit code values below which a tile is
-// skipped in delta frames). t <= 0 ships every nonidentical tile.
-// Server-side only; players ignore it.
-func WithDiffThreshold(t float64) Option {
-	return func(o *options) {
-		if t <= 0 {
-			t = -1 // exact mode
-		}
-		o.diffThreshold = t
-	}
-}
-
 // WithPredictiveControl enables the player's predictive control plane:
 // an online ARMAX model fed each frame's exogenous signals (touch
 // events, texture count) and the session's observed traffic forecasts
@@ -141,7 +127,7 @@ type StreamServer struct {
 const defaultAcceptTimeout = 5 * time.Minute
 
 // NewStreamServer builds a server rendering at cfg's resolution,
-// tuned by opts (quality, parallelism, diff threshold).
+// tuned by opts (quality, parallelism, adaptive quality).
 func NewStreamServer(cfg StreamServerConfig, opts ...Option) (*StreamServer, error) {
 	o := buildOptions(opts)
 	srv, err := core.NewServer(core.ServerConfig{
@@ -149,7 +135,6 @@ func NewStreamServer(cfg StreamServerConfig, opts ...Option) (*StreamServer, err
 		Height:          cfg.Height,
 		Quality:         o.quality,
 		Parallelism:     o.parallelism,
-		DiffThreshold:   o.diffThreshold,
 		AdaptiveQuality: o.adaptiveQuality,
 		QualityFloor:    o.qualityFloor,
 	})

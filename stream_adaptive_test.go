@@ -29,7 +29,7 @@ func runConstrainedSession(t *testing.T, seed uint64, frames int, opts ...Option
 	// emulated router buffer, producing drops and retransmits — the
 	// congestion regime the quality ladder exists for. The parameters
 	// live in the WiFiCongested profile, which pins this exact tuple.
-	lc, ls := netsim.WiFiCongested.NewPair(seed)
+	ls, lc := netsim.WiFiCongested.NewPair(seed)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

@@ -24,7 +24,7 @@ func TestPlayerSurvivesDeviceCrash(t *testing.T) {
 
 	var wg sync.WaitGroup
 	var servers []*StreamServer
-	var pairs [][2]*netsim.LinkConn
+	var ports []*netsim.HubPort
 	t.Cleanup(func() {
 		for _, s := range servers {
 			_ = s.Close()
@@ -36,8 +36,8 @@ func TestPlayerSurvivesDeviceCrash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lc, ls := netsim.NewLinkPair(netsim.LinkConfig{Delay: 200 * time.Microsecond}, uint64(30+i))
-		pairs = append(pairs, [2]*netsim.LinkConn{lc, ls})
+		ls, lc := netsim.NewPair(netsim.LinkConfig{Delay: 200 * time.Microsecond}, uint64(30+i))
+		ports = append(ports, lc)
 		servers = append(servers, srv)
 		wg.Add(1)
 		go func(s *StreamServer) {
@@ -53,8 +53,7 @@ func TestPlayerSurvivesDeviceCrash(t *testing.T) {
 	const crashAt = 10
 	for f := 0; f < frames; f++ {
 		if f == crashAt {
-			pairs[0][0].Blackhole()
-			pairs[0][1].Blackhole()
+			ports[0].Blackhole()
 		}
 		img, err := player.StepFrame(15 * time.Second)
 		if err != nil {
@@ -101,9 +100,8 @@ func TestServeConnAfterCloseRefused(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	a, b := NewLinkPairForTest()
+	a, b := netsim.NewPair(netsim.LinkConfig{}, 99)
 	defer a.Close()
-	defer b.Close()
 	if err := srv.ServeConn(a, b.Addr()); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("ServeConn after Close = %v, want ErrServerClosed", err)
 	}
@@ -111,12 +109,6 @@ func TestServeConnAfterCloseRefused(t *testing.T) {
 	if _, ok := srv.TransportStats(); ok {
 		t.Fatal("refused session overwrote the server's connection")
 	}
-}
-
-// NewLinkPairForTest gives this package's tests an in-memory packet
-// pair without importing netsim at each call site.
-func NewLinkPairForTest() (*netsim.LinkConn, *netsim.LinkConn) {
-	return netsim.NewLinkPair(netsim.LinkConfig{}, 99)
 }
 
 // TestValidateFrameSize is the regression test for the display path

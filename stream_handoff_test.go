@@ -31,13 +31,13 @@ func TestPlayerCrashRecoverHotJoinSoak(t *testing.T) {
 		}
 		wg.Wait()
 	})
-	start := func(name string, seed uint64) [2]*netsim.LinkConn {
+	start := func(name string, seed uint64) *netsim.HubPort {
 		t.Helper()
 		srv, err := NewStreamServer(StreamServerConfig{Width: w, Height: h})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lc, ls := netsim.NewLinkPair(netsim.LinkConfig{Delay: 200 * time.Microsecond}, seed)
+		ls, lc := netsim.NewPair(netsim.LinkConfig{Delay: 200 * time.Microsecond}, seed)
 		servers = append(servers, srv)
 		wg.Add(1)
 		go func() {
@@ -47,10 +47,10 @@ func TestPlayerCrashRecoverHotJoinSoak(t *testing.T) {
 		if err := player.ConnectConn(name, lc, ls.Addr(), 1000); err != nil {
 			t.Fatal(err)
 		}
-		return [2]*netsim.LinkConn{lc, ls}
+		return lc
 	}
 
-	crashPair := start("dev-A", 40)
+	crashPort := start("dev-A", 40)
 	start("dev-B", 41)
 	start("dev-C", 42)
 
@@ -71,8 +71,7 @@ func TestPlayerCrashRecoverHotJoinSoak(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		step()
 	}
-	crashPair[0].Blackhole()
-	crashPair[1].Blackhole()
+	crashPort.Blackhole()
 	for i := 0; i < 15; i++ {
 		step()
 	}
@@ -84,8 +83,7 @@ func TestPlayerCrashRecoverHotJoinSoak(t *testing.T) {
 	// handoff: the client must wait out the probe cool-down, drain the
 	// dead window via retransmits, ship the checkpoint, and see a
 	// matching fingerprint ack. Keep playing until that completes.
-	crashPair[0].Restore()
-	crashPair[1].Restore()
+	crashPort.Restore()
 	deadline := time.Now().Add(30 * time.Second)
 	for player.Snapshot().HandoffStats.Completed == 0 {
 		if time.Now().After(deadline) {

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"github.com/gbooster/gbooster/internal/metrics"
-	"github.com/gbooster/gbooster/internal/rudp"
+	"github.com/gbooster/gbooster/internal/netsim"
 )
 
 // TestPredictiveControlSnapshot runs a real session with
@@ -26,7 +26,7 @@ func TestPredictiveControlSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	pcC, pcS := rudp.NewMemPair(0, 11)
+	pcS, pcC := netsim.NewPair(netsim.LinkConfig{}, 11)
 	go func() { _ = srv.ServeConn(pcS, pcC.Addr()) }()
 	if err := player.ConnectConn("mem", pcC, pcS.Addr(), 1000); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/gbooster/gbooster/internal/rudp"
+	"github.com/gbooster/gbooster/internal/netsim"
 )
 
 // TestSnapshotEquivalence checks that one Snapshot of a quiesced
@@ -23,7 +23,7 @@ func TestSnapshotEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	pcC, pcS := rudp.NewMemPair(0, 11)
+	pcS, pcC := netsim.NewPair(netsim.LinkConfig{}, 11)
 	go func() { _ = srv.ServeConn(pcS, pcC.Addr()) }()
 	if err := player.ConnectConn("mem", pcC, pcS.Addr(), 1000); err != nil {
 		t.Fatal(err)
