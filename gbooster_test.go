@@ -1,7 +1,9 @@
 package gbooster
 
 import (
+	"bytes"
 	"errors"
+	"image"
 	"testing"
 	"time"
 
@@ -125,14 +127,28 @@ func TestPlayerOverInMemoryLink(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// StepFrame hands out the client's per-frame pixel copy itself, so a
+	// returned image must stay the caller's: the next frame may neither
+	// share its backing array nor change it.
+	var last *image.RGBA
+	var lastPix []byte
 	for f := 0; f < 5; f++ {
 		img, err := player.StepFrame(5 * time.Second)
 		if err != nil {
 			t.Fatalf("frame %d: %v", f, err)
 		}
-		if img.Bounds().Dx() != w || img.Bounds().Dy() != h {
-			t.Fatalf("frame bounds %v", img.Bounds())
+		if img.Bounds().Dx() != w || img.Bounds().Dy() != h || img.Stride != 4*w || len(img.Pix) != w*h*4 {
+			t.Fatalf("frame bounds %v stride %d len %d", img.Bounds(), img.Stride, len(img.Pix))
 		}
+		if last != nil {
+			if &last.Pix[0] == &img.Pix[0] {
+				t.Fatalf("frame %d shares its pixel array with frame %d", f, f-1)
+			}
+			if !bytes.Equal(last.Pix, lastPix) {
+				t.Fatalf("frame %d changed after frame %d was returned", f-1, f)
+			}
+		}
+		last, lastPix = img, append([]byte(nil), img.Pix...)
 	}
 	st := player.Snapshot().PlayerStats
 	if st.FramesSent != 5 || st.FramesShown != 5 {

@@ -2,7 +2,9 @@ package gles
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"testing"
 )
 
@@ -62,5 +64,48 @@ func TestRasterizerGoldenHash(t *testing.T) {
 	sum2 := sha256.Sum256(gpu2.FB.Pix)
 	if sum != sum2 {
 		t.Fatal("identical streams produced different framebuffers")
+	}
+}
+
+// depthHash hashes a depth buffer by its float32 bit patterns.
+func depthHash(depth []float32) string {
+	h := sha256.New()
+	var b [4]byte
+	for _, d := range depth {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(d))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// TestLazyDepthBufferGoldenHash pins a depth-tested scene's color and
+// depth output to the hashes it had when NewFramebuffer still allocated
+// and cleared the depth buffer up front: allocating it on the first
+// depth-tested draw (here after a depth clear that finds no buffer yet)
+// must not change a pixel or a depth value.
+func TestLazyDepthBufferGoldenHash(t *testing.T) {
+	gpu := renderScene(t, 160, 120, 1, 1)
+	sum := sha256.Sum256(gpu.FB.Pix)
+	if got, want := hex.EncodeToString(sum[:8]), "517d5d6a2aee876a"; got != want {
+		t.Fatalf("color hash = %s, want %s", got, want)
+	}
+	if len(gpu.FB.Depth) != 160*120 {
+		t.Fatalf("depth buffer has %d entries after a depth-tested draw", len(gpu.FB.Depth))
+	}
+	if got, want := depthHash(gpu.FB.Depth), "ff535158c7a98114"; got != want {
+		t.Fatalf("depth hash = %s, want %s", got, want)
+	}
+}
+
+// TestNoDepthTestNoDepthBuffer: clears and draws that never enable the
+// depth test leave the framebuffer without a depth buffer.
+func TestNoDepthTestNoDepthBuffer(t *testing.T) {
+	gpu := setupDrawCtx(t, 16, 16)
+	mustExec(t, gpu, CmdClear(ClearColorBit|ClearDepthBit))
+	mustExec(t, gpu, CmdUniform4f(LocTint, 0, 1, 0, 1))
+	drawFullScreenQuad(t, gpu)
+	mustExec(t, gpu, CmdClear(ClearDepthBit))
+	if gpu.FB.Depth != nil {
+		t.Fatalf("depth buffer allocated (%d entries) with the depth test off", len(gpu.FB.Depth))
 	}
 }

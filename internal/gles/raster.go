@@ -11,9 +11,12 @@ import (
 
 // Framebuffer is an RGBA8 render target with an optional depth buffer.
 type Framebuffer struct {
-	W, H  int
-	Pix   []byte    // RGBA, 4 bytes per pixel, row-major
-	Depth []float32 // one entry per pixel, cleared to +1 (far plane)
+	W, H int
+	Pix  []byte // RGBA, 4 bytes per pixel, row-major
+	// Depth has one entry per pixel, cleared to +1 (far plane). It is nil
+	// until the first depth-tested draw: a scene that never enables the
+	// depth test never pays for it.
+	Depth []float32
 }
 
 // NewFramebuffer allocates a w×h render target cleared to opaque black.
@@ -23,11 +26,9 @@ func NewFramebuffer(w, h int) *Framebuffer {
 	}
 	fb := &Framebuffer{
 		W: w, H: h,
-		Pix:   make([]byte, w*h*4),
-		Depth: make([]float32, w*h),
+		Pix: make([]byte, w*h*4),
 	}
 	fb.ClearColorBuf(0, 0, 0, 1)
-	fb.ClearDepthBuf()
 	return fb
 }
 
@@ -40,7 +41,8 @@ func (fb *Framebuffer) ClearColorBuf(r, g, b, a float32) {
 	}
 }
 
-// ClearDepthBuf resets the depth buffer to the far plane.
+// ClearDepthBuf resets the depth buffer to the far plane. Before the
+// first depth-tested draw there is no buffer and nothing to reset.
 func (fb *Framebuffer) ClearDepthBuf() {
 	for i := range fb.Depth {
 		fb.Depth[i] = 1
@@ -269,6 +271,12 @@ const minParallelRows = 64
 // determinism tests assert this on Pix and Depth both.
 func (c *Context) drawTriangles(fb *Framebuffer, verts []vertex, mode int32, par int) int64 {
 	st := c.rasterState()
+	if st.depthTest && fb.Depth == nil {
+		// Allocated here, before the band fan-out, so no worker races to
+		// create it.
+		fb.Depth = make([]float32, fb.W*fb.H)
+		fb.ClearDepthBuf()
+	}
 	tris := assembleTriangles(nil, verts, mode)
 	if par <= 1 || len(tris) == 0 || fb.H < minParallelRows {
 		var shaded int64

@@ -1,6 +1,7 @@
 package turbo
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -32,8 +33,9 @@ const (
 const DefaultQuality = 60
 
 // DefaultDiffThreshold is the per-tile mean absolute difference (in
-// 8-bit code values) below which a tile is considered unchanged.
-const DefaultDiffThreshold = 2.0
+// 8-bit code values) up to which a tile is considered unchanged. The
+// scan compares integers: SAD > DefaultDiffThreshold × samples.
+const DefaultDiffThreshold = 2
 
 // Encoder compresses a stream of RGBA frames into keyframe/delta
 // packets. It is closed-loop: prev holds the decoder's reconstruction,
@@ -43,9 +45,17 @@ type Encoder struct {
 	w, h    int
 	quality int // effective quality, always in [1,100]
 	qz      quantizers
-	thresh  float64
 	prev    []byte // decoder-visible reconstruction, RGBA
 	started bool
+
+	// src is the source pixels each tile was last evaluated from (same
+	// layout as prev). settled[t] says prev's tile t is either within
+	// the diff threshold of src's tile or is src's tile reconstructed at
+	// the current quality — so a delta tile whose source still equals
+	// src needs neither scan nor transform: the scan would repeat its
+	// answer, and a re-encode would reproduce prev byte for byte.
+	src     []byte
+	settled []bool
 
 	// outBuf is the reused packet buffer: Encode appends into it and
 	// returns a slice of it, so steady-state encoding allocates nothing.
@@ -56,12 +66,20 @@ type Encoder struct {
 	// region of frame/prev and writes only its own region of prev — so
 	// the parallel path produces byte-identical packets (see
 	// encodeTilesParallel and the determinism tests).
-	par     int
-	tileBuf [][]byte // per-tile encoded output, reused across frames
-	tileOn  []bool   // per-tile "shipped" flags, reused across frames
+	par   int
+	spans []encSpan // per-worker-span encoded output, reused across frames
 
 	// Stats accumulate for the traffic experiments.
 	Stats EncoderStats
+}
+
+// encSpan is what one parallel worker span produced: the entries of the
+// tiles it shipped, in grid order, how many, and the tile row the next
+// span starts at. It lives in Encoder.spans at the span's first tile row.
+type encSpan struct {
+	buf  []byte
+	sent uint32
+	end  int
 }
 
 // EncoderStats counts encoder work.
@@ -86,14 +104,11 @@ func NewEncoder(w, h, quality int) *Encoder {
 		w: w, h: h,
 		quality: quality,
 		qz:      buildQuantizers(quality),
-		thresh:  DefaultDiffThreshold,
 		prev:    make([]byte, w*h*4),
+		src:     make([]byte, w*h*4),
+		settled: make([]bool, tilesDim(w)*tilesDim(h)),
 	}
 }
-
-// SetDiffThreshold overrides the changed-tile sensitivity. Zero makes
-// every nonidentical tile ship.
-func (e *Encoder) SetDiffThreshold(t float64) { e.thresh = t }
 
 // SetParallelism sets the tile-parallel worker degree: n <= 0 means one
 // worker per CPU, n == 1 the serial reference path. Output is
@@ -103,7 +118,9 @@ func (e *Encoder) SetParallelism(n int) { e.par = parallel.Degree(n) }
 // SetQuality changes the quality for subsequent frames (clamped to
 // [1,100]). The change is safe mid-stream: each packet carries its
 // quality, and the closed loop keeps already-reconstructed tiles
-// consistent — only re-shipped tiles use the new tables.
+// consistent — only re-shipped tiles use the new tables. Every tile is
+// unsettled: one whose reconstruction sits beyond the diff threshold
+// must ship again at the new quality even if its source never changes.
 func (e *Encoder) SetQuality(q int) {
 	q = clampQuality(q)
 	if q == e.quality {
@@ -111,6 +128,7 @@ func (e *Encoder) SetQuality(q int) {
 	}
 	e.quality = q
 	e.qz = buildQuantizers(q)
+	clear(e.settled)
 }
 
 // Quality reports the effective quality in use.
@@ -147,16 +165,7 @@ func (e *Encoder) Encode(frame []byte, forceKey bool) ([]byte, error) {
 	if e.par > 1 && tw*th > 1 {
 		out, sent = e.encodeTilesParallel(out, frame, key, tw, th)
 	} else {
-		var yBlk, cbBlk, crBlk [blockSize * blockSize]int32
-		for ty := 0; ty < th; ty++ {
-			for tx := 0; tx < tw; tx++ {
-				if !key && !e.tileChanged(frame, tx, ty) {
-					continue
-				}
-				out = e.encodeTileInto(out, frame, tx, ty, tw, &yBlk, &cbBlk, &crBlk)
-				sent++
-			}
-		}
+		out, sent = e.encodeBands(out, frame, key, 0, th, tw)
 	}
 	e.Stats.TilesTotal += tw * th
 	binary.LittleEndian.PutUint32(out[countAt:], sent)
@@ -188,64 +197,115 @@ func (e *Encoder) encodeTileInto(out []byte, frame []byte, tx, ty, tw int, yBlk,
 	return out
 }
 
-// encodeTilesParallel fans the tile grid out across the shared worker
-// pool. Safety and determinism: tile t reads frame (never written) and
-// its own tile region of prev (for the change check), writes its own
-// tile region of prev (reconstruction) and its own tileBuf[t]/tileOn[t]
-// slots — all disjoint across tiles. The per-tile buffers are then
-// joined in grid order, reproducing the serial packet byte for byte.
-func (e *Encoder) encodeTilesParallel(out []byte, frame []byte, key bool, tw, th int) ([]byte, uint32) {
-	n := tw * th
-	if cap(e.tileBuf) < n {
-		e.tileBuf = make([][]byte, n)
-		e.tileOn = make([]bool, n)
-	}
-	tileBuf, tileOn := e.tileBuf[:n], e.tileOn[:n]
-	parallel.Do(e.par, n, func(lo, hi int) {
-		var yBlk, cbBlk, crBlk [blockSize * blockSize]int32
-		for t := lo; t < hi; t++ {
-			tx, ty := t%tw, t/tw
-			if !key && !e.tileChanged(frame, tx, ty) {
-				tileOn[t] = false
-				continue
-			}
-			tileOn[t] = true
-			tileBuf[t] = e.encodeTileInto(tileBuf[t][:0], frame, tx, ty, tw, &yBlk, &cbBlk, &crBlk)
-		}
-	})
+// encodeBands decides and encodes tile rows [lo,hi), appending the
+// entries of the tiles that ship to out in grid order, and returns how
+// many shipped. The serial path is one call over the whole grid; the
+// parallel path is one call per worker span. Each 8-row band's source is
+// left in src once its tiles are decided; one comparison of the whole
+// band stands in for the per-tile comparisons where that strip of the
+// screen did not change at all.
+func (e *Encoder) encodeBands(out []byte, frame []byte, key bool, lo, hi, tw int) ([]byte, uint32) {
+	var yBlk, cbBlk, crBlk [blockSize * blockSize]int32
 	var sent uint32
-	for t := 0; t < n; t++ {
-		if tileOn[t] {
-			out = append(out, tileBuf[t]...)
-			sent++
+	for ty := lo; ty < hi; ty++ {
+		band0, band1 := ty*blockSize*e.w*4, min((ty+1)*blockSize, e.h)*e.w*4
+		band, srcBand := frame[band0:band1], e.src[band0:band1]
+		bandSame := !key && bytes.Equal(band, srcBand)
+		for tx := 0; tx < tw; tx++ {
+			if e.tileShips(frame, key, bandSame, tx, ty, tw) {
+				out = e.encodeTileInto(out, frame, tx, ty, tw, &yBlk, &cbBlk, &crBlk)
+				sent++
+			}
+		}
+		if !bandSame {
+			copy(srcBand, band)
 		}
 	}
 	return out, sent
 }
 
-// tileChanged compares the frame tile against the reconstruction using
-// mean absolute difference over RGB (integer SAD; the threshold
-// comparison stays in float so configured thresholds keep their exact
-// legacy semantics, including negative values forcing every tile).
-func (e *Encoder) tileChanged(frame []byte, tx, ty int) bool {
-	x0, y0 := tx*blockSize, ty*blockSize
-	sad, n := 0, 0
-	for dy := 0; dy < blockSize; dy++ {
-		y := y0 + dy
-		if y >= e.h {
-			break
-		}
-		row := (y*e.w + x0) * 4
-		for dx := 0; dx < blockSize; dx++ {
-			if x0+dx >= e.w {
-				break
-			}
-			i := row + dx*4
-			sad += absDiff(frame[i], e.prev[i]) + absDiff(frame[i+1], e.prev[i+1]) + absDiff(frame[i+2], e.prev[i+2])
-			n += 3
-		}
+// tileShips decides one tile and settles it. A keyframe ships every
+// tile. A delta tile that is settled and whose source still equals src
+// is skipped unseen; any other tile ships iff the scan against prev says
+// so — either way prev will then be within threshold of this source or
+// be its reconstruction.
+func (e *Encoder) tileShips(frame []byte, key, bandSame bool, tx, ty, tw int) bool {
+	t := ty*tw + tx
+	settled := e.settled[t]
+	e.settled[t] = true
+	if key {
+		return true
 	}
-	return n > 0 && float64(sad) > e.thresh*float64(n)
+	if settled && (bandSame || e.tileSame(frame, tx, ty)) {
+		return false
+	}
+	return e.tileChanged(frame, tx, ty)
+}
+
+// encodeTilesParallel fans the tile grid out across the shared worker
+// pool in spans of whole tile rows. Safety and determinism: a span reads
+// frame (never written) and its own rows of prev and src, writes its own
+// rows of prev (reconstruction) and src (memo), its own tiles' settled
+// slots and the encSpan at its first row — all disjoint
+// across spans. The span buffers are then joined in grid order,
+// reproducing the serial packet byte for byte.
+func (e *Encoder) encodeTilesParallel(out []byte, frame []byte, key bool, tw, th int) ([]byte, uint32) {
+	if len(e.spans) < th {
+		e.spans = make([]encSpan, th)
+	}
+	spans := e.spans
+	parallel.Do(e.par, th, func(lo, hi int) {
+		s := &spans[lo]
+		s.buf, s.sent = e.encodeBands(s.buf[:0], frame, key, lo, hi, tw)
+		s.end = hi
+	})
+	var sent uint32
+	for ty := 0; ty < th; ty = spans[ty].end {
+		out = append(out, spans[ty].buf...)
+		sent += spans[ty].sent
+	}
+	return out, sent
+}
+
+// tileRows returns the byte offset of the tile's first row in an RGBA
+// buffer, the byte length of one tile row, and the tile's row count
+// (edge tiles are clipped to the frame).
+func (e *Encoder) tileRows(tx, ty int) (off, rowLen, rows int) {
+	x0, y0 := tx*blockSize, ty*blockSize
+	return (y0*e.w + x0) * 4, min(blockSize, e.w-x0) * 4, min(blockSize, e.h-y0)
+}
+
+// tileSame reports whether the frame tile is byte-equal to src's.
+func (e *Encoder) tileSame(frame []byte, tx, ty int) bool {
+	off, rowLen, rows := e.tileRows(tx, ty)
+	for ; rows > 0; rows-- {
+		if !bytes.Equal(frame[off:off+rowLen], e.src[off:off+rowLen]) {
+			return false
+		}
+		off += e.w * 4
+	}
+	return true
+}
+
+// tileChanged compares the frame tile against the reconstruction: the
+// sum of absolute differences over RGB exceeds DefaultDiffThreshold per
+// sample. SAD only grows, so a changed tile leaves after the row that
+// crosses the limit.
+func (e *Encoder) tileChanged(frame []byte, tx, ty int) bool {
+	off, rowLen, rows := e.tileRows(tx, ty)
+	limit := DefaultDiffThreshold * 3 * (rowLen / 4) * rows
+	sad := 0
+	for ; rows > 0; rows-- {
+		f, p := frame[off:off+rowLen], e.prev[off:off+rowLen]
+		for i := 0; i+3 < len(f) && i+3 < len(p); i += 4 {
+			sad += absDiff(f[i], p[i]) + absDiff(f[i+1], p[i+1]) + absDiff(f[i+2], p[i+2])
+		}
+		if sad > limit {
+			return true
+		}
+		off += e.w * 4
+	}
+	return false
 }
 
 func absDiff(a, b byte) int {

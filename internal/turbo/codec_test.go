@@ -347,24 +347,6 @@ func TestCompressionRatioOnGameLikeContent(t *testing.T) {
 	}
 }
 
-func TestDiffThresholdZeroShipsEverything(t *testing.T) {
-	const w, h = 32, 32
-	enc := NewEncoder(w, h, 75)
-	enc.SetDiffThreshold(-1) // any difference ships
-	f0 := testFrame(w, h, 0, 0)
-	if _, err := enc.Encode(f0, false); err != nil {
-		t.Fatal(err)
-	}
-	before := enc.Stats.TilesSent
-	if _, err := enc.Encode(f0, false); err != nil {
-		t.Fatal(err)
-	}
-	// With a negative threshold even identical tiles ship (mad > -1).
-	if enc.Stats.TilesSent == before {
-		t.Fatal("negative threshold did not force tiles")
-	}
-}
-
 func TestPSNR(t *testing.T) {
 	a := []byte{10, 20, 30, 255, 40, 50, 60, 255}
 	if !math.IsInf(PSNR(a, a), 1) {

@@ -53,6 +53,12 @@ gate 'TestUplinkFlushZeroAllocSteadyState' -count=1 ./internal/core/
 # reply send, ACK — must also be zero-alloc at steady state. Same
 # non-race rationale as the uplink gate.
 gate 'TestDownlinkServeZeroAllocSteadyState' -count=1 ./internal/core/
+# Turbo source-memo exactness under the race detector: the encoder that
+# skips tiles whose source bytes did not change must drive its decoder
+# to byte-identical frames as a scan-only reference, at par 1/2/NumCPU
+# (workers share prev/src/settled, each tile's region its own), through
+# quality steps and a forced keyframe.
+gate 'TestMemoMatchesScanOnlyReference' -race -count=1 ./internal/turbo/
 # Batched-egress race gates: sendmmsg/recvmmsg parity with the portable
 # loop (byte-identical wire traffic), and the fleet egress writer's
 # ordering/overflow behavior under producer concurrency.

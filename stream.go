@@ -427,8 +427,10 @@ func (p *Player) StepFrame(timeout time.Duration) (*image.RGBA, error) {
 	if err := validateFrameSize(len(displayed.Pixels), p.w, p.h); err != nil {
 		return nil, fmt.Errorf("gbooster: frame %d: %w", displayed.Seq, err)
 	}
-	img := image.NewRGBA(image.Rect(0, 0, p.w, p.h))
-	copy(img.Pix, displayed.Pixels)
+	// displayed.Pixels is already this frame's own copy out of the turbo
+	// decoder (core.Client.decodeOne) and has no other reader, so the
+	// image wraps it instead of copying it again.
+	img := &image.RGBA{Pix: displayed.Pixels, Stride: 4 * p.w, Rect: image.Rect(0, 0, p.w, p.h)}
 	p.recordFrameLatency(time.Since(begin))
 	return img, nil
 }
