@@ -52,16 +52,8 @@ func TestDownlinkServeZeroAllocSteadyState(t *testing.T) {
 	comp := lz4.NewCompressor()
 	enc := glwire.NewEncoder(nil)
 
-	// Four frame variants (distinct clear shades) so the cache reaches
-	// hit-steady-state while the encoder still sees changing tiles.
-	var cmds [3]gles.Command
-	var variants [4][][]byte
-	for i := range variants {
-		shade := float32(i) * 0.25
-		cmds[0] = gles.CmdClearColor(shade, shade, shade, 1)
-		cmds[1] = gles.CmdClear(gles.ClearColorBit)
-		cmds[2] = gles.CmdSwapBuffers()
-		buf, err := enc.EncodeAll(nil, cmds[:])
+	records := func(cmds []gles.Command) [][]byte {
+		buf, err := enc.EncodeAll(nil, cmds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +61,45 @@ func TestDownlinkServeZeroAllocSteadyState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		variants[i] = recs
+		return recs
+	}
+	// One-time scene setup, sent ahead of the first frame: a program, a
+	// texture and an interleaved (pos, uv) quad VBO, so every frame below
+	// can draw a textured quad without touching context state that
+	// copies (attribute pointers, uniforms).
+	tex := make([]byte, 8*8*4)
+	for i := range tex {
+		tex[i] = byte(i * 29)
+	}
+	setup := records([]gles.Command{
+		gles.CmdViewport(0, 0, 64, 48),
+		gles.CmdCreateProgram(1), gles.CmdUseProgram(1),
+		gles.CmdEnable(gles.CapBlend),
+		gles.CmdGenTexture(1), gles.CmdBindTexture(gles.TexTarget2D, 1),
+		gles.CmdTexImage2D(gles.TexTarget2D, 0, 8, 8, tex),
+		gles.CmdGenBuffer(1), gles.CmdBindBuffer(gles.BufTargetArray, 1),
+		gles.CmdBufferData(gles.BufTargetArray, gles.FloatsToBytes([]float32{
+			-0.5, -0.5, 0, 0, 0.5, -0.5, 1, 0, -0.5, 0.5, 0, 1,
+			0.5, -0.5, 1, 0, 0.5, 0.5, 1, 1, -0.5, 0.5, 0, 1,
+		}), gles.UsageStaticDraw),
+		gles.CmdVertexAttribPointerVBO(gles.LocPosition, 2, 16, 0, 1),
+		gles.CmdEnableVertexAttribArray(gles.LocPosition),
+		gles.CmdVertexAttribPointerVBO(gles.LocTexCoord, 2, 16, 8, 1),
+		gles.CmdEnableVertexAttribArray(gles.LocTexCoord),
+	})
+
+	// Four frame variants (distinct clear shades under the same textured
+	// quad) so the cache reaches hit-steady-state while the encoder still
+	// sees changing tiles.
+	var variants [4][][]byte
+	for i := range variants {
+		shade := float32(i) * 0.25
+		variants[i] = records([]gles.Command{
+			gles.CmdClearColor(shade, shade, shade, 1),
+			gles.CmdClear(gles.ClearColorBit),
+			gles.CmdDrawArrays(gles.DrawModeTriangles, 0, 6),
+			gles.CmdSwapBuffers(),
+		})
 	}
 
 	const maxPayload = 1200 // rudp default datagram payload bound
@@ -82,9 +112,9 @@ func TestDownlinkServeZeroAllocSteadyState(t *testing.T) {
 		dataSeq  uint32
 		iter     int
 	)
-	step := func() {
+	serve := func(recs [][]byte) {
 		// Uplink: encode one frame batch the way a live client would.
-		wire, _, err := clientCache.EncodeAll(wireBuf[:0], variants[iter%len(variants)])
+		wire, _, err := clientCache.EncodeAll(wireBuf[:0], recs)
 		wireBuf = wire
 		if err != nil {
 			t.Fatal(err)
@@ -128,6 +158,11 @@ func TestDownlinkServeZeroAllocSteadyState(t *testing.T) {
 
 		// Drain the send window so pending slots recycle.
 		ackAllSent(conn, ackPkt)
+	}
+	step := func() { serve(variants[iter%len(variants)]) }
+	serve(append(setup, variants[0]...))
+	if got := srv.Stats().FragmentsShaded; got <= 64*48 {
+		t.Fatalf("first frame shaded %d fragments: the quad did not draw", got)
 	}
 
 	// Warm every layer: the caches need one cycle through the variants,

@@ -3,6 +3,7 @@ package gles
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Errors reported by Context.Apply. Servers log these; they never
@@ -31,27 +32,33 @@ func (t *Texture) Sample(u, v float32) (r, g, b, a uint8) {
 	if t == nil || t.Width == 0 || t.Height == 0 {
 		return 255, 255, 255, 255
 	}
-	u -= float32(int(u))
-	if u < 0 {
-		u++
-	}
-	v -= float32(int(v))
-	if v < 0 {
-		v++
-	}
-	x := int(u * float32(t.Width))
-	y := int(v * float32(t.Height))
-	if x >= t.Width {
-		x = t.Width - 1
-	}
-	if y >= t.Height {
-		y = t.Height - 1
-	}
+	x := wrapTexel(u, float32(t.Width), t.Width)
+	y := wrapTexel(v, float32(t.Height), t.Height)
 	i := (y*t.Width + x) * 4
-	if i+3 >= len(t.Pixels) {
+	if i < 0 || i+3 >= len(t.Pixels) {
 		return 255, 255, 255, 255
 	}
 	return t.Pixels[i], t.Pixels[i+1], t.Pixels[i+2], t.Pixels[i+3]
+}
+
+// wrapTexel maps a normalized coordinate to a texel index along an axis
+// of n texels (fn is float32(n)): repeat wrapping, nearest filtering.
+// The rasterizer's span loop and Sample share it, so they agree bit for
+// bit.
+func wrapTexel(c, fn float32, n int) int {
+	// Subtracting the integer part leaves a coordinate already in [0,1)
+	// as it is, so that case skips the two conversions.
+	if !(c >= 0 && c < 1) {
+		c -= float32(int(c))
+		if c < 0 {
+			c++
+		}
+	}
+	i := int(c * fn)
+	if i >= n {
+		i = n - 1
+	}
+	return i
 }
 
 // Buffer is a server-side VBO/IBO.
@@ -407,6 +414,12 @@ func (c *Context) validateDraw(cmd Command) error {
 // error when the binding's backing store is too short — the condition
 // the deferred-serialization logic of §IV-B exists to avoid.
 func (c *Context) AttribFloats(b *AttribBinding, first, count int) ([]float32, error) {
+	return c.appendAttribFloats(nil, b, first, count)
+}
+
+// appendAttribFloats is AttribFloats appending to dst, which a draw
+// passes its reused scratch through.
+func (c *Context) appendAttribFloats(dst []float32, b *AttribBinding, first, count int) ([]float32, error) {
 	if b == nil {
 		return nil, ErrBadArguments
 	}
@@ -429,7 +442,7 @@ func (c *Context) AttribFloats(b *AttribBinding, first, count int) ([]float32, e
 		return nil, fmt.Errorf("%w: first=%d count=%d stride=%d", ErrBadArguments, first, count, stride)
 	}
 	if count == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	// Bound the request by the backing store BEFORE allocating: a
 	// hostile draw count must fail cheaply, not reserve count*size
@@ -439,7 +452,7 @@ func (c *Context) AttribFloats(b *AttribBinding, first, count int) ([]float32, e
 		return nil, fmt.Errorf("%w: %d vertices need %d bytes, have %d",
 			ErrOutOfRangeDraw, first+count, lastBase+vertexBytes, len(src))
 	}
-	out := make([]float32, 0, count*int(b.Size))
+	out := slices.Grow(dst, count*int(b.Size))
 	for v := first; v < first+count; v++ {
 		base := off + v*stride
 		if base < 0 || base+vertexBytes > len(src) {

@@ -1,6 +1,7 @@
 package gles
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/gbooster/gbooster/internal/parallel"
@@ -23,6 +24,8 @@ type GPU struct {
 	// par is the scanline-band rasterization degree; <= 1 keeps the
 	// serial path. Output is byte-identical at every degree.
 	par int
+
+	scratch drawScratch
 }
 
 // NewGPU returns a GPU rendering into a w×h framebuffer with a fresh
@@ -67,21 +70,21 @@ func (g *GPU) Execute(cmd Command) (ExecResult, error) {
 			g.FB.ClearDepthBuf()
 		}
 	case OpDrawArrays:
-		verts, err := g.Ctx.gatherVertices(int(cmd.Int(1)), int(cmd.Int(2)), nil)
+		n, err := g.draw(cmd.Int(0), int(cmd.Int(1)), int(cmd.Int(2)), nil)
 		if err != nil {
 			return res, fmt.Errorf("drawArrays: %w", err)
 		}
-		res.Fragments = g.Ctx.drawTriangles(g.FB, verts, cmd.Int(0), g.par)
+		res.Fragments = n
 	case OpDrawElements:
 		indices, err := g.drawIndices(cmd)
 		if err != nil {
 			return res, err
 		}
-		verts, err := g.Ctx.gatherVertices(0, 0, indices)
+		n, err := g.draw(cmd.Int(0), 0, 0, indices)
 		if err != nil {
 			return res, fmt.Errorf("drawElements: %w", err)
 		}
-		res.Fragments = g.Ctx.drawTriangles(g.FB, verts, cmd.Int(0), g.par)
+		res.Fragments = n
 	case OpSwapBuffers:
 		g.FramesCompleted++
 		res.FrameDone = true
@@ -104,49 +107,20 @@ func (g *GPU) ExecuteAll(cmds []Command) (ExecResult, error) {
 	return total, nil
 }
 
-// clearColor clears the color buffer, honoring the scissor rectangle
-// like real GL (glClear is scissored when GL_SCISSOR_TEST is on).
+// clearColor clears the color buffer inside the clip rectangle draws
+// use — glClear is scissored when GL_SCISSOR_TEST is on — and returns
+// the pixels cleared.
 func (g *GPU) clearColor() int64 {
-	ctx := g.Ctx
-	if !ctx.Caps[CapScissorTest] {
-		g.FB.ClearColorBuf(ctx.ClearR, ctx.ClearG, ctx.ClearB, ctx.ClearA)
-		return int64(g.FB.W * g.FB.H)
-	}
-	// Scissor rect is in GL coordinates (origin bottom-left).
-	x0, w := int(ctx.ScissorX), int(ctx.ScissorW)
-	top := g.FB.H - int(ctx.ScissorY) - int(ctx.ScissorH)
-	bottom := g.FB.H - int(ctx.ScissorY)
-	if x0 < 0 {
-		x0 = 0
-	}
-	if top < 0 {
-		top = 0
-	}
-	if bottom > g.FB.H {
-		bottom = g.FB.H
-	}
-	if x0+w > g.FB.W {
-		w = g.FB.W - x0
-	}
-	cr := clamp8(ctx.ClearR)
-	cg := clamp8(ctx.ClearG)
-	cb := clamp8(ctx.ClearB)
-	ca := clamp8(ctx.ClearA)
-	var cleared int64
-	for y := top; y < bottom; y++ {
-		row := (y*g.FB.W + x0) * 4
-		for x := 0; x < w; x++ {
-			i := row + x*4
-			g.FB.Pix[i], g.FB.Pix[i+1], g.FB.Pix[i+2], g.FB.Pix[i+3] = cr, cg, cb, ca
-			cleared++
-		}
-	}
-	return cleared
+	ctx, fb := g.Ctx, g.FB
+	r := clipRect(fb.W, fb.H, ctx.Caps[CapScissorTest],
+		int(ctx.ScissorX), int(ctx.ScissorY), int(ctx.ScissorW), int(ctx.ScissorH))
+	fb.clearRect(r, clamp8(ctx.ClearR), clamp8(ctx.ClearG), clamp8(ctx.ClearB), clamp8(ctx.ClearA))
+	return int64(r.Dx() * r.Dy())
 }
 
 // drawIndices resolves the index array for a DrawElements call, either
 // from the bound element-array buffer (at the offset argument) or from
-// client memory carried in the command.
+// client memory carried in the command, into the draw scratch.
 func (g *GPU) drawIndices(cmd Command) ([]uint16, error) {
 	count := int(cmd.Int(1))
 	if count < 0 {
@@ -169,7 +143,12 @@ func (g *GPU) drawIndices(cmd Command) ([]uint16, error) {
 		}
 		raw = cmd.Data[:count*2]
 	}
-	return BytesToU16(raw), nil
+	idx := g.scratch.idx[:0]
+	for i := 0; i+1 < len(raw); i += 2 {
+		idx = append(idx, binary.LittleEndian.Uint16(raw[i:]))
+	}
+	g.scratch.idx = idx
+	return idx, nil
 }
 
 // EstimateCost returns the command's GPU workload in fragments without

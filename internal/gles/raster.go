@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"image"
 	"image/color"
+	"math"
 	"sync/atomic"
 
 	"github.com/gbooster/gbooster/internal/parallel"
@@ -35,9 +36,33 @@ func NewFramebuffer(w, h int) *Framebuffer {
 // ClearColorBuf fills the color buffer with the given color (components
 // in [0,1]).
 func (fb *Framebuffer) ClearColorBuf(r, g, b, a float32) {
-	cr, cg, cb, ca := clamp8(r), clamp8(g), clamp8(b), clamp8(a)
-	for i := 0; i < len(fb.Pix); i += 4 {
-		fb.Pix[i], fb.Pix[i+1], fb.Pix[i+2], fb.Pix[i+3] = cr, cg, cb, ca
+	fillRGBA(fb.Pix, clamp8(r), clamp8(g), clamp8(b), clamp8(a))
+}
+
+// clearRect fills the pixels of r, which must lie inside the
+// framebuffer, with one color: the first row by doubling, the rest as
+// copies of it.
+func (fb *Framebuffer) clearRect(r image.Rectangle, cr, cg, cb, ca uint8) {
+	if r.Empty() {
+		return
+	}
+	first := fb.Pix[(r.Min.Y*fb.W+r.Min.X)*4 : (r.Min.Y*fb.W+r.Max.X)*4]
+	fillRGBA(first, cr, cg, cb, ca)
+	for y := r.Min.Y + 1; y < r.Max.Y; y++ {
+		copy(fb.Pix[(y*fb.W+r.Min.X)*4:], first)
+	}
+}
+
+// fillRGBA sets every pixel of pix to one color: it stores the first
+// pixel, then copies the filled prefix onto what follows it, doubling
+// the prefix each time.
+func fillRGBA(pix []byte, r, g, b, a uint8) {
+	if len(pix) < 4 {
+		return
+	}
+	pix[0], pix[1], pix[2], pix[3] = r, g, b, a
+	for n := 4; n < len(pix); n *= 2 {
+		copy(pix[n:], pix[:n])
 	}
 }
 
@@ -68,9 +93,7 @@ func (fb *Framebuffer) Image() *image.RGBA {
 
 // SetAll fills the framebuffer with a single color; test helper.
 func (fb *Framebuffer) SetAll(c color.RGBA) {
-	for i := 0; i < len(fb.Pix); i += 4 {
-		fb.Pix[i], fb.Pix[i+1], fb.Pix[i+2], fb.Pix[i+3] = c.R, c.G, c.B, c.A
-	}
+	fillRGBA(fb.Pix, c.R, c.G, c.B, c.A)
 }
 
 func clamp8(v float32) uint8 {
@@ -83,6 +106,16 @@ func clamp8(v float32) uint8 {
 		return uint8(v*255 + 0.5)
 	}
 }
+
+// unorm8[b] is float32(b)/255, the value of a stored color byte. The
+// table holds the quotients themselves, so reading it is bit-identical
+// to dividing.
+var unorm8 = func() (t [256]float32) {
+	for b := range t {
+		t[b] = float32(b) / 255
+	}
+	return t
+}()
 
 // vertex is a post-transform vertex entering rasterization.
 type vertex struct {
@@ -136,6 +169,21 @@ func (c *Context) rasterState() rasterState {
 	return st
 }
 
+// clipRect is the part of a w×h framebuffer that clears and draws may
+// write: all of it, or its intersection with the scissor box when the
+// scissor test is on. The box arrives in GL coordinates (origin
+// bottom-left); rows here run top-down.
+func clipRect(w, h int, scissor bool, scX, scY, scW, scH int) image.Rectangle {
+	r := image.Rectangle{Max: image.Point{X: w, Y: h}}
+	if scissor {
+		r = r.Intersect(image.Rectangle{
+			Min: image.Point{X: scX, Y: h - scY - scH},
+			Max: image.Point{X: scX + scW, Y: h - scY},
+		})
+	}
+	return r
+}
+
 // transform applies the MVP matrix (column-major, as glUniformMatrix4fv
 // supplies it) and the viewport transform to one model-space position.
 func (st *rasterState) transform(px, py, pz float32) (x, y, z float32) {
@@ -155,12 +203,96 @@ func (st *rasterState) transform(px, py, pz float32) (x, y, z float32) {
 	return x, y, nz
 }
 
-// gatherVertices builds the post-transform vertex list for a draw.
-func (c *Context) gatherVertices(first, count int, indices []uint16) ([]vertex, error) {
-	st := c.rasterState()
+// drawScratch is the working set of one draw call. The GPU owns it and
+// reuses it, so a draw allocates nothing once the slices have grown to
+// the stream's largest draw; band workers read it and write only their
+// own framebuffer rows.
+type drawScratch struct {
+	st rasterState
+
+	pos, col, uv []float32 // attribute components, vertex-major
+	// Components per vertex of each array; colSize and uvSize are 0 when
+	// the array is disabled.
+	posSize, colSize, uvSize int
+
+	idx   []uint16
+	verts []vertex
+	tris  []triSetup
+
+	// The sampler's constants, read once per draw.
+	texPix     []byte
+	texW, texH int
+	texFW      float32
+	texFH      float32
+}
+
+// minParallelPixels is the clipped bounding-box area, summed over a
+// draw's triangles, below which the draw is rasterized on the calling
+// goroutine. It is a property of the draw, not of the framebuffer: a
+// sprite never pays for a fan-out and a full-screen triangle always gets
+// one. On the 2-CPU reference host a blended textured quad split across
+// two bands breaks even near 5 Ki box pixels (a 50-pixel side); at 16 Ki
+// (a 90-pixel side) the split draw takes 0.65x the serial time, and
+// below 2 Ki it takes 1.4-1.7x. DESIGN.md §10 has the table.
+const minParallelPixels = 16 << 10
+
+// fanOut reports whether a draw covering boxPixels bounding-box pixels
+// is split across par band workers.
+func fanOut(par, boxPixels int) bool {
+	return par > 1 && boxPixels >= minParallelPixels
+}
+
+// draw rasterizes one draw call into g.FB and returns the number of
+// fragments shaded — the quantity the fillrate-based GPU-time model
+// consumes. indices selects an indexed draw; otherwise vertices
+// [first, first+count) are drawn.
+//
+// A draw at or above minParallelPixels splits the rows it touches into
+// contiguous bands; every band rasterizes the full triangle list, in
+// submission order, clipped to its own rows (sort-middle style). Each
+// pixel is owned by exactly one band, so the per-pixel sequence of
+// depth tests and blends is exactly the serial one and the output is
+// byte-identical at every degree — the determinism tests assert this on
+// Pix and Depth both.
+func (g *GPU) draw(mode int32, first, count int, indices []uint16) (int64, error) {
+	d, fb := &g.scratch, g.FB
+	d.st = g.Ctx.rasterState()
+	if err := g.gatherVertices(first, count, indices); err != nil {
+		return 0, err
+	}
+	if d.st.depthTest && fb.Depth == nil {
+		// Allocated here, before the band fan-out, so no worker races to
+		// create it.
+		fb.Depth = make([]float32, fb.W*fb.H)
+		fb.ClearDepthBuf()
+	}
+	rows, boxPixels := d.setup(fb, mode)
+	if len(d.tris) == 0 {
+		return 0, nil
+	}
+	if !fanOut(g.par, boxPixels) {
+		return d.rasterBand(fb, rows.Min.Y, rows.Max.Y), nil
+	}
+	var total int64
+	parallel.Do(g.par, rows.Max.Y-rows.Min.Y, func(lo, hi int) {
+		// Per-pixel work is disjoint across bands; only the fragment
+		// counter is shared. Integer addition commutes, so the total
+		// matches the serial count exactly.
+		atomic.AddInt64(&total, d.rasterBand(fb, rows.Min.Y+lo, rows.Min.Y+hi))
+	})
+	return total, nil
+}
+
+// gatherVertices builds the draw's post-transform vertex list in
+// g.scratch.verts.
+func (g *GPU) gatherVertices(first, count int, indices []uint16) error {
+	c, d := g.Ctx, &g.scratch
 	pos := c.Attribs[LocPosition]
 	if pos == nil || !pos.Enabled {
-		return nil, ErrMissingAttrib
+		return ErrMissingAttrib
+	}
+	if first < 0 || count < 0 {
+		return fmt.Errorf("%w: first=%d count=%d", ErrBadArguments, first, count)
 	}
 	maxV := first + count
 	if len(indices) > 0 {
@@ -171,251 +303,432 @@ func (c *Context) gatherVertices(first, count int, indices []uint16) ([]vertex, 
 			}
 		}
 	}
-	posData, err := c.AttribFloats(pos, 0, maxV)
-	if err != nil {
-		return nil, fmt.Errorf("position attrib: %w", err)
+	var err error
+	if d.pos, err = c.appendAttribFloats(d.pos[:0], pos, 0, maxV); err != nil {
+		return fmt.Errorf("position attrib: %w", err)
 	}
-	var colData, uvData []float32
-	var colSize int32
+	d.posSize, d.colSize, d.uvSize = int(pos.Size), 0, 0
 	if cb := c.Attribs[LocColor]; cb != nil && cb.Enabled {
-		if colData, err = c.AttribFloats(cb, 0, maxV); err != nil {
-			return nil, fmt.Errorf("color attrib: %w", err)
+		if d.col, err = c.appendAttribFloats(d.col[:0], cb, 0, maxV); err != nil {
+			return fmt.Errorf("color attrib: %w", err)
 		}
-		colSize = cb.Size
+		d.colSize = int(cb.Size)
 	}
 	if tb := c.Attribs[LocTexCoord]; tb != nil && tb.Enabled {
-		if uvData, err = c.AttribFloats(tb, 0, maxV); err != nil {
-			return nil, fmt.Errorf("texcoord attrib: %w", err)
+		if d.uv, err = c.appendAttribFloats(d.uv[:0], tb, 0, maxV); err != nil {
+			return fmt.Errorf("texcoord attrib: %w", err)
 		}
+		d.uvSize = int(tb.Size)
 	}
 
-	fetch := func(vi int) vertex {
-		var v vertex
-		base := vi * int(pos.Size)
-		px, py, pz := posData[base], posData[base+1], float32(0)
-		if pos.Size >= 3 {
-			pz = posData[base+2]
-		}
-		v.x, v.y, v.z = st.transform(px, py, pz)
-		v.r, v.g, v.b, v.a = st.tint[0], st.tint[1], st.tint[2], st.tint[3]
-		if colData != nil {
-			cb := vi * int(colSize)
-			v.r *= colData[cb]
-			if colSize >= 2 {
-				v.g *= colData[cb+1]
-			}
-			if colSize >= 3 {
-				v.b *= colData[cb+2]
-			}
-			if colSize >= 4 {
-				v.a *= colData[cb+3]
-			}
-		}
-		if uvData != nil {
-			v.u, v.v = uvData[vi*2], uvData[vi*2+1]
-		}
-		return v
-	}
-
-	verts := make([]vertex, 0, count)
+	d.verts = d.verts[:0]
 	if len(indices) > 0 {
 		for _, ix := range indices {
-			verts = append(verts, fetch(int(ix)))
+			d.verts = append(d.verts, d.fetch(int(ix)))
 		}
 	} else {
 		for vi := first; vi < first+count; vi++ {
-			verts = append(verts, fetch(vi))
+			d.verts = append(d.verts, d.fetch(vi))
 		}
 	}
-	return verts, nil
+	return nil
 }
 
-// tri is one assembled triangle, in submission order.
-type tri struct{ v0, v1, v2 vertex }
-
-// assembleTriangles expands the vertex list into triangles, honoring
-// strip winding (odd strip triangles swap the leading pair so both
-// orders rasterize consistently).
-func assembleTriangles(dst []tri, verts []vertex, mode int32) []tri {
-	switch mode {
-	case DrawModeTriStrip:
-		for i := 0; i+2 < len(verts); i++ {
-			if i%2 == 0 {
-				dst = append(dst, tri{verts[i], verts[i+1], verts[i+2]})
-			} else {
-				dst = append(dst, tri{verts[i+1], verts[i], verts[i+2]})
-			}
+// fetch transforms, tints and assembles vertex vi from the gathered
+// attribute components; a component the array does not carry is 0.
+func (d *drawScratch) fetch(vi int) vertex {
+	var v vertex
+	st := &d.st
+	base := vi * d.posSize
+	px, py, pz := d.pos[base], float32(0), float32(0)
+	if d.posSize >= 2 {
+		py = d.pos[base+1]
+	}
+	if d.posSize >= 3 {
+		pz = d.pos[base+2]
+	}
+	v.x, v.y, v.z = st.transform(px, py, pz)
+	v.r, v.g, v.b, v.a = st.tint[0], st.tint[1], st.tint[2], st.tint[3]
+	if d.colSize > 0 {
+		cb := vi * d.colSize
+		v.r *= d.col[cb]
+		if d.colSize >= 2 {
+			v.g *= d.col[cb+1]
 		}
-	default: // DrawModeTriangles
-		for i := 0; i+2 < len(verts); i += 3 {
-			dst = append(dst, tri{verts[i], verts[i+1], verts[i+2]})
+		if d.colSize >= 3 {
+			v.b *= d.col[cb+2]
+		}
+		if d.colSize >= 4 {
+			v.a *= d.col[cb+3]
 		}
 	}
-	return dst
+	if d.uvSize > 0 {
+		v.u = d.uv[vi*d.uvSize]
+		if d.uvSize >= 2 {
+			v.v = d.uv[vi*d.uvSize+1]
+		}
+	}
+	return v
 }
 
-// minParallelRows is the framebuffer height below which band decomposition
-// is not worth the fan-out overhead.
-const minParallelRows = 64
-
-// drawTriangles rasterizes the vertex list as triangles (or a strip)
-// into fb and returns the number of fragments shaded — the quantity the
-// fillrate-based GPU-time model consumes.
-//
-// par is the scanline-band worker degree. For par > 1 the framebuffer
-// rows are split into contiguous bands and every band rasterizes the
-// full triangle list, in submission order, clipped to its own rows
-// (sort-middle style). Each pixel is owned by exactly one band, so the
-// per-pixel sequence of depth tests and blends is exactly the serial
-// one and the output is byte-identical at every degree — the
-// determinism tests assert this on Pix and Depth both.
-func (c *Context) drawTriangles(fb *Framebuffer, verts []vertex, mode int32, par int) int64 {
-	st := c.rasterState()
-	if st.depthTest && fb.Depth == nil {
-		// Allocated here, before the band fan-out, so no worker races to
-		// create it.
-		fb.Depth = make([]float32, fb.W*fb.H)
-		fb.ClearDepthBuf()
-	}
-	tris := assembleTriangles(nil, verts, mode)
-	if par <= 1 || len(tris) == 0 || fb.H < minParallelRows {
-		var shaded int64
-		for _, t := range tris {
-			shaded += rasterizeTriangleBand(fb, &st, t.v0, t.v1, t.v2, 0, fb.H)
-		}
-		return shaded
-	}
-	var total int64
-	parallel.Do(par, fb.H, func(lo, hi int) {
-		var shaded int64
-		for _, t := range tris {
-			shaded += rasterizeTriangleBand(fb, &st, t.v0, t.v1, t.v2, lo, hi)
-		}
-		// Per-pixel work is disjoint across bands; only the fragment
-		// counter is shared. Integer addition commutes, so the total
-		// matches the serial count exactly.
-		atomic.AddInt64(&total, shaded)
-	})
-	return total
+// edgeSetup is one directed triangle edge a→b as the span solver and
+// the shader evaluate it: the edge function at pixel center (fx, fy) is
+// dx*(fy-ay) - dy*(fx-ax), every operation rounded to float32.
+type edgeSetup struct {
+	ax, ay float32
+	dx, dy float32
+	// invDy is 1/dy in double precision, for the crossing estimate only.
+	invDy float64
+	// incl: pixel centers exactly on the edge count as inside (top-left
+	// fill rule).
+	incl bool
 }
 
-// rasterizeTriangleBand fills one screen-space triangle with
-// interpolated color, optional texturing, optional depth test, and
-// optional alpha blending, restricted to rows [yLo, yHi). It returns
-// the number of fragments shaded. The serial path passes [0, fb.H);
-// the parallel path gives each worker a disjoint row band.
-func rasterizeTriangleBand(fb *Framebuffer, st *rasterState, v0, v1, v2 vertex, yLo, yHi int) int64 {
-	minX := int(min3(v0.x, v1.x, v2.x))
-	maxX := int(max3(v0.x, v1.x, v2.x)) + 1
-	minY := int(min3(v0.y, v1.y, v2.y))
-	maxY := int(max3(v0.y, v1.y, v2.y)) + 1
-	if minX < 0 {
-		minX = 0
-	}
-	if minY < yLo {
-		minY = yLo
-	}
-	if maxX > fb.W {
-		maxX = fb.W
-	}
-	if maxY > yHi {
-		maxY = yHi
-	}
-	if st.scissor {
-		// GL scissor origin is bottom-left; framebuffer rows run
-		// top-down, so convert before clipping the bounding box.
-		top := fb.H - st.scY - st.scH
-		bottom := fb.H - st.scY
-		if minX < st.scX {
-			minX = st.scX
-		}
-		if maxX > st.scX+st.scW {
-			maxX = st.scX + st.scW
-		}
-		if minY < top {
-			minY = top
-		}
-		if maxY > bottom {
-			maxY = bottom
-		}
-	}
-	if minX >= maxX || minY >= maxY {
-		return 0
-	}
+// triSetup is one triangle, winding-normalized, with everything that is
+// constant across its pixels computed once per draw rather than once
+// per band. Edge i is opposite vertex i, so its edge function scaled by
+// inv is vertex i's barycentric weight.
+type triSetup struct {
+	v0, v1, v2 vertex
+	e          [3]edgeSetup
+	inv        float32 // 1 / (twice the signed area)
+	// box is the bounding box of the vertices, truncated to pixels,
+	// clipped to the framebuffer and the scissor box.
+	box image.Rectangle
+}
 
-	area := edge(v0, v1, v2.x, v2.y)
+// guardBand bounds the vertex coordinates, in pixels, that rasterize.
+// Inside it every intermediate of the edge functions is finite (the
+// largest is below 2^51), which is what makes them monotone along a
+// scanline; float32 also counts pixels exactly up to here.
+const guardBand = 1 << 24
+
+// inGuardBand reports whether v has a finite depth and lies within
+// guardBand pixels of the origin. A NaN coordinate fails both
+// comparisons.
+func inGuardBand(v *vertex) bool {
+	return v.x >= -guardBand && v.x <= guardBand &&
+		v.y >= -guardBand && v.y <= guardBand &&
+		v.z-v.z == 0
+}
+
+// init prepares the triangle for rasterization inside clip and reports
+// whether any pixel can be covered. A triangle with a vertex outside the
+// guard band or with a reciprocal area that is not finite is dropped
+// whole, as GPU hardware drops what its guard band cannot hold: no
+// weight computed from it would mean anything.
+func (t *triSetup) init(v0, v1, v2 *vertex, clip image.Rectangle) bool {
+	if !inGuardBand(v0) || !inGuardBand(v1) || !inGuardBand(v2) {
+		return false
+	}
+	t.box = image.Rectangle{
+		Min: image.Point{X: int(min3(v0.x, v1.x, v2.x)), Y: int(min3(v0.y, v1.y, v2.y))},
+		Max: image.Point{X: int(max3(v0.x, v1.x, v2.x)) + 1, Y: int(max3(v0.y, v1.y, v2.y)) + 1},
+	}.Intersect(clip)
+	if t.box.Empty() {
+		return false
+	}
+	area := edge(*v0, *v1, v2.x, v2.y)
 	if area == 0 {
-		return 0
+		return false
 	}
 	if area < 0 { // normalize winding so both orders rasterize
 		v1, v2 = v2, v1
 		area = -area
 	}
-	inv := 1 / area
+	t.inv = 1 / area
+	if math.IsInf(float64(t.inv), 0) {
+		return false
+	}
+	t.v0, t.v1, t.v2 = *v0, *v1, *v2
+	t.e[0].init(v1, v2)
+	t.e[1].init(v2, v0)
+	t.e[2].init(v0, v1)
+	return true
+}
 
+func (e *edgeSetup) init(a, b *vertex) {
+	e.ax, e.ay = a.x, a.y
+	e.dx, e.dy = b.x-a.x, b.y-a.y
+	e.invDy = 1 / float64(e.dy)
 	// Top-left fill rule: a pixel center exactly on an edge belongs to
 	// at most one of the two triangles sharing that edge, so adjacent
 	// triangles never double-shade (which would show as seams under
 	// alpha blending).
-	in0 := edgeIncludesZero(v1, v2)
-	in1 := edgeIncludesZero(v2, v0)
-	in2 := edgeIncludesZero(v0, v1)
+	e.incl = edgeIncludesZero(*a, *b)
+}
 
+// setup reads what d.st holds constant for the draw — the clip
+// rectangle and the sampler — and expands d.verts into d.tris, honoring
+// strip winding (odd strip triangles swap the leading pair so both
+// orders rasterize consistently) and dropping triangles that cannot
+// cover a pixel. It returns the union of the kept triangles' boxes and
+// the sum of their areas.
+func (d *drawScratch) setup(fb *Framebuffer, mode int32) (union image.Rectangle, boxPixels int) {
+	st := &d.st
+	clip := clipRect(fb.W, fb.H, st.scissor, st.scX, st.scY, st.scW, st.scH)
+	d.texPix = nil
+	if t := st.tex; t != nil && t.Width > 0 && t.Height > 0 {
+		d.texPix, d.texW, d.texH = t.Pixels, t.Width, t.Height
+		d.texFW, d.texFH = float32(t.Width), float32(t.Height)
+	}
+	d.tris = d.tris[:0]
+	verts := d.verts
+	add := func(a, b, c *vertex) {
+		d.tris = append(d.tris, triSetup{})
+		t := &d.tris[len(d.tris)-1]
+		if !t.init(a, b, c, clip) {
+			d.tris = d.tris[:len(d.tris)-1]
+			return
+		}
+		union = union.Union(t.box)
+		boxPixels += t.box.Dx() * t.box.Dy()
+	}
+	switch mode {
+	case DrawModeTriStrip:
+		for i := 0; i+2 < len(verts); i++ {
+			if i%2 == 0 {
+				add(&verts[i], &verts[i+1], &verts[i+2])
+			} else {
+				add(&verts[i+1], &verts[i], &verts[i+2])
+			}
+		}
+	default: // DrawModeTriangles
+		for i := 0; i+2 < len(verts); i += 3 {
+			add(&verts[i], &verts[i+1], &verts[i+2])
+		}
+	}
+	return union, boxPixels
+}
+
+// rasterBand rasterizes the draw's triangles, in submission order,
+// restricted to rows [yLo, yHi), and returns the fragments shaded.
+//
+// Per scanline it solves each edge function for the columns where the
+// fill rule holds. An edge value is a chain of correctly rounded
+// float32 operations, each monotone in its operand, so along a scanline
+// it is monotone in x and the covered columns of each edge form one
+// ray; narrow finds the ray's end by evaluating the very predicate the
+// per-pixel rasterizer evaluated, so the span is exactly the set of
+// pixels that rasterizer shaded.
+func (d *drawScratch) rasterBand(fb *Framebuffer, yLo, yHi int) int64 {
 	var shaded int64
-	for y := minY; y < maxY; y++ {
-		fy := float32(y) + 0.5
-		for x := minX; x < maxX; x++ {
-			fx := float32(x) + 0.5
-			w0 := edge(v1, v2, fx, fy) * inv
-			w1 := edge(v2, v0, fx, fy) * inv
-			w2 := edge(v0, v1, fx, fy) * inv
-			if w0 < 0 || w1 < 0 || w2 < 0 {
-				continue
-			}
-			if (w0 == 0 && !in0) || (w1 == 0 && !in1) || (w2 == 0 && !in2) {
-				continue
-			}
-			idx := y*fb.W + x
-			z := w0*v0.z + w1*v1.z + w2*v2.z
-			if st.depthTest {
-				if z > fb.Depth[idx] {
-					continue
+	for i := range d.tris {
+		t := &d.tris[i]
+		y1 := min(t.box.Max.Y, yHi)
+		for y := max(t.box.Min.Y, yLo); y < y1; y++ {
+			fy := float32(y) + 0.5
+			x0, x1 := t.box.Min.X, t.box.Max.X
+			var rowC [3]float32
+			for k := range t.e {
+				e := &t.e[k]
+				rowC[k] = float32(e.dx * (fy - e.ay))
+				if x0 < x1 {
+					x0, x1 = e.narrow(rowC[k], t.inv, x0, x1)
 				}
-				fb.Depth[idx] = z
 			}
-			r := w0*v0.r + w1*v1.r + w2*v2.r
-			g := w0*v0.g + w1*v1.g + w2*v2.g
-			b := w0*v0.b + w1*v1.b + w2*v2.b
-			a := w0*v0.a + w1*v1.a + w2*v2.a
-			if st.tex != nil {
-				u := w0*v0.u + w1*v1.u + w2*v2.u
-				v := w0*v0.v + w1*v1.v + w2*v2.v
-				tr, tg, tb, ta := st.tex.Sample(u, v)
-				r *= float32(tr) / 255
-				g *= float32(tg) / 255
-				b *= float32(tb) / 255
-				a *= float32(ta) / 255
+			switch {
+			case x0 >= x1:
+			case d.st.depthTest:
+				shaded += d.depthSpan(fb, t, &rowC, y, x0, x1)
+			default:
+				d.colorSpan(fb, t, &rowC, y, x0, x1)
+				shaded += int64(x1 - x0)
 			}
-			pi := idx * 4
-			if st.blend && a < 1 {
-				ia := 1 - a
-				r = r*a + float32(fb.Pix[pi])/255*ia
-				g = g*a + float32(fb.Pix[pi+1])/255*ia
-				b = b*a + float32(fb.Pix[pi+2])/255*ia
-				a = a + float32(fb.Pix[pi+3])/255*ia
-			}
-			fb.Pix[pi] = clamp8(r)
-			fb.Pix[pi+1] = clamp8(g)
-			fb.Pix[pi+2] = clamp8(b)
-			fb.Pix[pi+3] = clamp8(a)
-			shaded++
 		}
 	}
 	return shaded
 }
 
+// weight is the edge's barycentric weight at the center of pixel column
+// x, on the scanline whose row term dx*(fy-ay) is rowC.
+func (e *edgeSetup) weight(rowC, inv float32, x int) float32 {
+	fx := float32(x) + 0.5
+	return float32(rowC-float32(e.dy*(fx-e.ax))) * inv
+}
+
+// covers is the fill rule for one weight: positive, or zero on an edge
+// that owns its pixels.
+func (e *edgeSetup) covers(w float32) bool {
+	return !(w < 0) && !(w == 0 && !e.incl)
+}
+
+// narrow shrinks the columns [x0, x1) of one scanline to those the edge
+// covers. The weight is monotone in x — rising for an edge pointing up
+// the screen, falling for one pointing down, constant for a horizontal
+// one — so the covered columns are a suffix, a prefix, or all or none of
+// the interval. The real-number crossing gives a first guess at where
+// the rule flips; walking from there with the rounded rule itself makes
+// the answer exact, usually within two evaluations.
+func (e *edgeSetup) narrow(rowC, inv float32, x0, x1 int) (int, int) {
+	if e.dy == 0 {
+		if !e.covers(e.weight(rowC, inv, x0)) {
+			return x0, x0
+		}
+		return x0, x1
+	}
+	rising := e.dy < 0
+	// The edge function crosses zero where fx = ax + rowC/dy; as a
+	// column index that is 0.5 less. The flip column is its ceiling.
+	cross := float64(e.ax) - 0.5 + float64(rowC)*e.invDy
+	flip := x1
+	if cross <= float64(x0) {
+		flip = x0
+	} else if cross < float64(x1) {
+		flip = int(cross)
+		if float64(flip) < cross {
+			flip++
+		}
+	}
+	flip = e.settle(rowC, inv, rising, flip, x0, x1)
+	if rising {
+		return flip, x1
+	}
+	return x0, flip
+}
+
+// settle returns the first column of [x0, x1] from which the edge's
+// fill rule equals rising (x1 if none), starting the search at guess.
+// Monotonicity makes that column unique, and the two walks reach it from
+// any guess in the interval.
+func (e *edgeSetup) settle(rowC, inv float32, rising bool, guess, x0, x1 int) int {
+	for guess > x0 && e.covers(e.weight(rowC, inv, guess-1)) == rising {
+		guess--
+	}
+	for guess < x1 && e.covers(e.weight(rowC, inv, guess)) != rising {
+		guess++
+	}
+	return guess
+}
+
+// depthSpan depth-tests columns [x0, x1) of row y, all inside the
+// triangle, writes the depths that pass, colors each run of passing
+// columns and returns how many passed. Pixels are independent of one
+// another, so testing a run before coloring it changes no result.
+func (d *drawScratch) depthSpan(fb *Framebuffer, t *triSetup, rowC *[3]float32, y, x0, x1 int) int64 {
+	depth := fb.Depth[y*fb.W : (y+1)*fb.W]
+	e0, e1, e2 := &t.e[0], &t.e[1], &t.e[2]
+	var passed int64
+	run := x0 // first column of the current passing run
+	for x := x0; x < x1; x++ {
+		w0 := e0.weight(rowC[0], t.inv, x)
+		w1 := e1.weight(rowC[1], t.inv, x)
+		w2 := e2.weight(rowC[2], t.inv, x)
+		z := w0*t.v0.z + w1*t.v1.z + w2*t.v2.z
+		if z > depth[x] {
+			if run < x {
+				d.colorSpan(fb, t, rowC, y, run, x)
+				passed += int64(x - run)
+			}
+			run = x + 1
+			continue
+		}
+		depth[x] = z
+	}
+	if run < x1 {
+		d.colorSpan(fb, t, rowC, y, run, x1)
+		passed += int64(x1 - run)
+	}
+	return passed
+}
+
+// colorSpan writes the color of columns [x0, x1) of row y with the span
+// routine the draw's state selects. Both routines evaluate the
+// per-pixel rasterizer's expressions in its order.
+func (d *drawScratch) colorSpan(fb *Framebuffer, t *triSetup, rowC *[3]float32, y, x0, x1 int) {
+	pix := fb.Pix[(y*fb.W+x0)*4 : (y*fb.W+x1)*4]
+	if d.texPix != nil {
+		d.spanTextured(pix, t, rowC, x0)
+	} else {
+		d.spanFlat(pix, t, rowC, x0)
+	}
+}
+
+// spanFlat shades the pixels of pix, which start at column x0, with the
+// interpolated vertex color. The weights are edgeSetup.weight written
+// out: calling it three times makes the compiler spill fx, which costs
+// 8 % of the loop.
+func (d *drawScratch) spanFlat(pix []byte, t *triSetup, rowC *[3]float32, x0 int) {
+	blend := d.st.blend
+	v0, v1, v2 := &t.v0, &t.v1, &t.v2
+	e0, e1, e2 := &t.e[0], &t.e[1], &t.e[2]
+	c0, c1, c2, inv := rowC[0], rowC[1], rowC[2], t.inv
+	for i := 0; i < len(pix)/4; i++ {
+		fx := float32(x0+i) + 0.5
+		w0 := float32(c0-float32(e0.dy*(fx-e0.ax))) * inv
+		w1 := float32(c1-float32(e1.dy*(fx-e1.ax))) * inv
+		w2 := float32(c2-float32(e2.dy*(fx-e2.ax))) * inv
+		r := w0*v0.r + w1*v1.r + w2*v2.r
+		g := w0*v0.g + w1*v1.g + w2*v2.g
+		b := w0*v0.b + w1*v1.b + w2*v2.b
+		a := w0*v0.a + w1*v1.a + w2*v2.a
+		px := pix[i*4 : i*4+4 : i*4+4]
+		if blend && a < 1 {
+			r, g, b, a = blendOver(px, r, g, b, a)
+		}
+		px[0] = clamp8(r)
+		px[1] = clamp8(g)
+		px[2] = clamp8(b)
+		px[3] = clamp8(a)
+	}
+}
+
+// spanTextured is spanFlat with the color modulated by the draw's
+// texture, sampled at the interpolated texture coordinates.
+func (d *drawScratch) spanTextured(pix []byte, t *triSetup, rowC *[3]float32, x0 int) {
+	v0, v1, v2 := &t.v0, &t.v1, &t.v2
+	e0, e1, e2 := &t.e[0], &t.e[1], &t.e[2]
+	c0, c1, c2, inv := rowC[0], rowC[1], rowC[2], t.inv
+	blend := d.st.blend
+	texPix, texW, texH, texFW, texFH := d.texPix, d.texW, d.texH, d.texFW, d.texFH
+	for i := 0; i < len(pix)/4; i++ {
+		fx := float32(x0+i) + 0.5
+		w0 := float32(c0-float32(e0.dy*(fx-e0.ax))) * inv
+		w1 := float32(c1-float32(e1.dy*(fx-e1.ax))) * inv
+		w2 := float32(c2-float32(e2.dy*(fx-e2.ax))) * inv
+		r := w0*v0.r + w1*v1.r + w2*v2.r
+		g := w0*v0.g + w1*v1.g + w2*v2.g
+		b := w0*v0.b + w1*v1.b + w2*v2.b
+		a := w0*v0.a + w1*v1.a + w2*v2.a
+		u := w0*v0.u + w1*v1.u + w2*v2.u
+		v := w0*v0.v + w1*v1.v + w2*v2.v
+		o := (wrapTexel(v, texFH, texH)*texW + wrapTexel(u, texFW, texW)) * 4
+		// A texel outside the store samples white, and multiplying by
+		// 255/255 changes nothing.
+		if o >= 0 && o+3 < len(texPix) {
+			tx := texPix[o : o+4 : o+4]
+			r *= unorm8[tx[0]]
+			g *= unorm8[tx[1]]
+			b *= unorm8[tx[2]]
+			a *= unorm8[tx[3]]
+		}
+		px := pix[i*4 : i*4+4 : i*4+4]
+		if blend && a < 1 {
+			r, g, b, a = blendOver(px, r, g, b, a)
+		}
+		px[0] = clamp8(r)
+		px[1] = clamp8(g)
+		px[2] = clamp8(b)
+		px[3] = clamp8(a)
+	}
+}
+
+// blendOver blends a source color over the stored pixel px with
+// (SRC_ALPHA, ONE_MINUS_SRC_ALPHA).
+func blendOver(px []byte, r, g, b, a float32) (float32, float32, float32, float32) {
+	ia := 1 - a
+	r = r*a + unorm8[px[0]]*ia
+	g = g*a + unorm8[px[1]]*ia
+	b = b*a + unorm8[px[2]]*ia
+	a = a + unorm8[px[3]]*ia
+	return r, g, b, a
+}
+
+// edge is the edge function of a→b at (px, py). The conversions keep
+// each product a rounded float32 on architectures that would otherwise
+// fuse the multiply into the subtraction.
 func edge(a, b vertex, px, py float32) float32 {
-	return (b.x-a.x)*(py-a.y) - (b.y-a.y)*(px-a.x)
+	return float32((b.x-a.x)*(py-a.y)) - float32((b.y-a.y)*(px-a.x))
 }
 
 // edgeIncludesZero reports whether pixel centers lying exactly on the

@@ -136,14 +136,62 @@ func TestParallelRasterByteIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelRasterSmallFramebufferStaysSerial: below minParallelRows
-// the band fan-out is skipped but output must of course still match.
-func TestParallelRasterSmallFramebufferStaysSerial(t *testing.T) {
-	const w, h = 32, 32
-	ref := renderScene(t, w, h, 1, 7)
-	gpu := renderScene(t, w, h, 8, 7)
-	if !bytes.Equal(ref.FB.Pix, gpu.FB.Pix) {
-		t.Fatal("small-framebuffer render diverged")
+// TestFanOutFollowsDrawSize: whether a draw is split across band
+// workers depends on the pixels the draw covers, not on the framebuffer
+// it lands in. A sprite-sized draw on a large framebuffer stays on the
+// calling goroutine, a screen-filling one fans out, and both produce the
+// serial render's bytes and fragment count.
+func TestFanOutFollowsDrawSize(t *testing.T) {
+	for _, tc := range []struct {
+		par, boxPixels int
+		want           bool
+	}{
+		{1, 1 << 30, false},
+		{2, 0, false},
+		{2, 2 * 27 * 27, false}, // a G1 sprite quad
+		{2, minParallelPixels - 1, false},
+		{2, minParallelPixels, true},
+		{8, 2 * 1280 * 720, true},
+	} {
+		if got := fanOut(tc.par, tc.boxPixels); got != tc.want {
+			t.Errorf("fanOut(par=%d, boxPixels=%d) = %v, want %v", tc.par, tc.boxPixels, got, tc.want)
+		}
+	}
+
+	const w, h = 600, 480
+	quad := func(size float32) []byte {
+		return FloatsToBytes([]float32{-size, -size, size, -size, -size, size, size, -size, size, size, -size, size})
+	}
+	for _, tc := range []struct {
+		name    string
+		size    float32
+		fansOut bool
+	}{{"sprite", 0.05, false}, {"fullscreen", 1, true}} {
+		var ref *GPU
+		for _, par := range []int{1, 8} {
+			gpu := setupDrawCtx(t, w, h)
+			gpu.SetParallelism(par)
+			mustExec(t, gpu, CmdEnable(CapBlend))
+			mustExec(t, gpu, CmdUniform4f(LocTint, 0.9, 0.5, 0.1, 0.6))
+			mustExec(t, gpu, CmdVertexAttribPointerResolved(LocPosition, 2, 0, quad(tc.size)))
+			mustExec(t, gpu, CmdEnableVertexAttribArray(LocPosition))
+			mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 6))
+			boxPixels := 0
+			for i := range gpu.scratch.tris {
+				boxPixels += gpu.scratch.tris[i].box.Dx() * gpu.scratch.tris[i].box.Dy()
+			}
+			if got := fanOut(par, boxPixels); got != (tc.fansOut && par > 1) {
+				t.Fatalf("%s par=%d: %d box pixels, fanOut=%v", tc.name, par, boxPixels, got)
+			}
+			if ref == nil {
+				ref = gpu
+				continue
+			}
+			if !bytes.Equal(ref.FB.Pix, gpu.FB.Pix) || ref.FragmentsShaded != gpu.FragmentsShaded {
+				t.Fatalf("%s: par=%d render diverged from serial (%d vs %d fragments)",
+					tc.name, par, gpu.FragmentsShaded, ref.FragmentsShaded)
+			}
+		}
 	}
 }
 
@@ -163,9 +211,14 @@ func TestGPUSetParallelismDegree(t *testing.T) {
 	}
 }
 
-// BenchmarkRaster measures band-parallel fill throughput across worker
-// degrees at the paper's streaming resolution. The par=1 series is the
-// serial reference for BENCH_dataplane.json speedups.
+// BenchmarkRaster measures fill throughput across worker degrees on the
+// two draw shapes that sit either side of the fan-out floor: a
+// 120-triangle soup at the paper's streaming resolution, whose one draw
+// covers the screen many times over and must speed up with a second
+// core, and a G1-shaped frame of one clear plus 120 textured 27-pixel
+// sprite quads, each a draw far too small to split, which must cost the
+// same at every degree. The par=1 series is the serial reference for
+// BENCH_dataplane.json speedups.
 func BenchmarkRaster(b *testing.B) {
 	const w, h = 1280, 720
 	rng := sim.NewRNG(11)
@@ -174,23 +227,67 @@ func BenchmarkRaster(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d/par=%d", w, h, par), func(b *testing.B) {
 			gpu := setupDrawCtx(b, w, h)
 			gpu.SetParallelism(par)
-			if _, err := gpu.Execute(CmdUniform4f(LocTint, 0.9, 0.5, 0.3, 1)); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := gpu.Execute(CmdVertexAttribPointerResolved(LocPosition, 3, 0, FloatsToBytes(soup))); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := gpu.Execute(CmdEnableVertexAttribArray(LocPosition)); err != nil {
-				b.Fatal(err)
-			}
+			mustExec(b, gpu, CmdUniform4f(LocTint, 0.9, 0.5, 0.3, 1))
+			mustExec(b, gpu, CmdVertexAttribPointerResolved(LocPosition, 3, 0, FloatsToBytes(soup)))
+			mustExec(b, gpu, CmdEnableVertexAttribArray(LocPosition))
 			draw := CmdDrawArrays(DrawModeTriangles, 0, int32(len(soup)/3))
 			b.SetBytes(int64(w * h * 4))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := gpu.Execute(draw); err != nil {
-					b.Fatal(err)
+				mustExec(b, gpu, draw)
+			}
+		})
+	}
+	for _, par := range benchDegrees() {
+		b.Run(fmt.Sprintf("sprites-600x480/par=%d", par), func(b *testing.B) {
+			gpu := setupDrawCtx(b, 600, 480)
+			gpu.SetParallelism(par)
+			frame := spriteFrame(gpu, sim.NewRNG(12), 120, 27)
+			b.SetBytes(600 * 480 * 4)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, cmd := range frame {
+					mustExec(b, gpu, cmd)
 				}
 			}
 		})
 	}
+}
+
+// spriteFrame sets gpu up the way workload.Game does — blending on, a
+// 32x32 texture, an interleaved (pos, uv) unit-quad VBO — and returns
+// one frame's commands: a clear, then count quads of size pixels each,
+// placed by its own MVP.
+func spriteFrame(gpu *GPU, rng *sim.RNG, count int, size float32) []Command {
+	tex := make([]byte, 32*32*4)
+	for i := range tex {
+		tex[i] = byte(rng.Intn(256))
+		if i%4 == 3 {
+			tex[i] = 255 // opaque, like the workload's textures: blending is on but never taken
+		}
+	}
+	quad := FloatsToBytes([]float32{
+		-0.5, -0.5, 0, 0, 0.5, -0.5, 1, 0, -0.5, 0.5, 0, 1,
+		0.5, -0.5, 1, 0, 0.5, 0.5, 1, 1, -0.5, 0.5, 0, 1,
+	})
+	for _, cmd := range []Command{
+		CmdEnable(CapBlend),
+		CmdGenTexture(1), CmdBindTexture(TexTarget2D, 1), CmdTexImage2D(TexTarget2D, 0, 32, 32, tex),
+		CmdGenBuffer(1), CmdBindBuffer(BufTargetArray, 1), CmdBufferData(BufTargetArray, quad, UsageStaticDraw),
+		CmdVertexAttribPointerVBO(LocPosition, 2, 16, 0, 1), CmdEnableVertexAttribArray(LocPosition),
+		CmdVertexAttribPointerVBO(LocTexCoord, 2, 16, 8, 1), CmdEnableVertexAttribArray(LocTexCoord),
+	} {
+		if _, err := gpu.Execute(cmd); err != nil {
+			panic(err)
+		}
+	}
+	sx, sy := 2*size/float32(gpu.FB.W), 2*size/float32(gpu.FB.H)
+	frame := []Command{CmdClear(ClearColorBit)}
+	for i := 0; i < count; i++ {
+		x, y := float32(rng.Float64()*2-1), float32(rng.Float64()*2-1)
+		frame = append(frame,
+			CmdUniformMatrix4fv(LocMVP, [16]float32{sx, 0, 0, 0, 0, sy, 0, 0, 0, 0, 1, 0, x, y, 0, 1}),
+			CmdDrawArrays(DrawModeTriangles, 0, 6))
+	}
+	return frame
 }

@@ -487,3 +487,145 @@ func TestScissoredClear(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestScissoredClearClipsAsRectangle: a scissor box that pokes out of
+// the framebuffer clears exactly its intersection with it — the same
+// rectangle a scissored draw is clipped to — and reports that many
+// fragments. A box starting at x=-10 with width 20 covers columns
+// [0,10), not [0,20).
+func TestScissoredClearClipsAsRectangle(t *testing.T) {
+	const w, h = 32, 24
+	for _, tc := range []struct {
+		name           string
+		x, y, bw, bh   int32
+		x0, y0, x1, y1 int // expected framebuffer rectangle, rows top-down
+	}{
+		{"negative x keeps the right edge", -10, 0, 20, h, 0, 0, 10, h},
+		{"negative y keeps the top edge", 0, -6, w, 10, 0, h - 4, w, h},
+		{"both corners outside", -5, -5, 100, 100, 0, 0, w, h},
+		{"right overhang", 28, 2, 10, 4, 28, h - 6, w, h - 2},
+		{"x at the right edge", w, 0, 8, h, 0, 0, 0, 0},
+		{"x beyond the right edge", w + 9, 0, 8, h, 0, 0, 0, 0},
+		{"y above the top", 0, h + 3, w, 5, 0, 0, 0, 0},
+		{"wholly left of the framebuffer", -30, 0, 20, h, 0, 0, 0, 0},
+		{"zero width", 4, 4, 0, 8, 0, 0, 0, 0},
+		{"zero height", 4, 4, 8, 0, 0, 0, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gpu := setupDrawCtx(t, w, h)
+			mustExec(t, gpu, CmdClearColor(0, 0, 1, 1))
+			mustExec(t, gpu, CmdClear(ClearColorBit))
+			mustExec(t, gpu, CmdEnable(CapScissorTest))
+			mustExec(t, gpu, CmdScissor(tc.x, tc.y, tc.bw, tc.bh))
+			mustExec(t, gpu, CmdClearColor(1, 0, 0, 1))
+			res := mustExec(t, gpu, CmdClear(ClearColorBit))
+			red := 0
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					inside := x >= tc.x0 && x < tc.x1 && y >= tc.y0 && y < tc.y1
+					r, _, b, _ := gpu.FB.At(x, y)
+					if isRed := r == 255 && b == 0; isRed != inside {
+						t.Fatalf("pixel (%d,%d) red=%v, want %v", x, y, isRed, inside)
+					}
+					if inside {
+						red++
+					}
+				}
+			}
+			if res.Fragments != int64(red) {
+				t.Fatalf("clear reported %d fragments, cleared %d pixels", res.Fragments, red)
+			}
+			// A draw under the same scissor box touches the same rectangle.
+			mustExec(t, gpu, CmdUniform4f(LocTint, 0, 1, 0, 1))
+			drawFullScreenQuad(t, gpu)
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					inside := x >= tc.x0 && x < tc.x1 && y >= tc.y0 && y < tc.y1
+					if _, g, _, _ := gpu.FB.At(x, y); (g == 255) != inside {
+						t.Fatalf("draw: pixel (%d,%d) green=%d, inside=%v", x, y, g, inside)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestClearFillMatchesPerPixelStores: the doubling fill writes what four
+// byte stores per pixel wrote, at sizes around its copy boundaries.
+func TestClearFillMatchesPerPixelStores(t *testing.T) {
+	for _, dim := range [][2]int{{1, 1}, {2, 1}, {3, 5}, {7, 3}, {64, 2}, {33, 17}} {
+		fb := NewFramebuffer(dim[0], dim[1])
+		fb.ClearColorBuf(0.2, 0.4, 0.6, 0.8)
+		for i := 0; i < len(fb.Pix); i += 4 {
+			if fb.Pix[i] != 51 || fb.Pix[i+1] != 102 || fb.Pix[i+2] != 153 || fb.Pix[i+3] != 204 {
+				t.Fatalf("%dx%d: pixel %d = %v", dim[0], dim[1], i/4, fb.Pix[i:i+4])
+			}
+		}
+	}
+}
+
+// TestDrawZeroAllocSteadyState: once the GPU's draw scratch has grown
+// to the stream's largest draw, a draw allocates nothing — whether its
+// vertices come from a VBO or a client array, and whether it is indexed.
+func TestDrawZeroAllocSteadyState(t *testing.T) {
+	gpu := setupDrawCtx(t, 64, 48)
+	gpu.SetParallelism(1)
+	tex := make([]byte, 8*8*4)
+	for i := range tex {
+		tex[i] = byte(i*13) | 0x80
+	}
+	interleaved := FloatsToBytes([]float32{ // x, y, u, v
+		-0.5, -0.5, 0, 0, 0.5, -0.5, 1, 0, -0.5, 0.5, 0, 1,
+		0.5, -0.5, 1, 0, 0.5, 0.5, 1, 1, -0.5, 0.5, 0, 1,
+	})
+	corners := FloatsToBytes([]float32{-0.8, -0.8, 0.2, -0.8, 0.2, 0.2, -0.8, 0.2})
+	for _, cmd := range []Command{
+		CmdEnable(CapBlend),
+		CmdGenTexture(1), CmdBindTexture(TexTarget2D, 1), CmdTexImage2D(TexTarget2D, 0, 8, 8, tex),
+		CmdGenBuffer(1), CmdBindBuffer(BufTargetArray, 1), CmdBufferData(BufTargetArray, interleaved, UsageStaticDraw),
+		CmdGenBuffer(2), CmdBindBuffer(BufTargetElemArray, 2),
+		CmdBufferData(BufTargetElemArray, U16ToBytes([]uint16{0, 1, 2, 0, 2, 3}), UsageStaticDraw),
+		CmdEnableVertexAttribArray(LocPosition),
+	} {
+		mustExec(t, gpu, cmd)
+	}
+	// Setting an attribute pointer copies its client array, so each
+	// sequence is applied once outside the measured loop; the loop runs a
+	// clear and the sequence's draws against the pointers left in place.
+	sequences := map[string][]Command{
+		"vbo": {
+			CmdVertexAttribPointerVBO(LocPosition, 2, 16, 0, 1),
+			CmdVertexAttribPointerVBO(LocTexCoord, 2, 16, 8, 1),
+			CmdEnableVertexAttribArray(LocTexCoord),
+			CmdDrawArrays(DrawModeTriangles, 0, 6),
+		},
+		"client": {
+			CmdDisableVertexAttribArray(LocTexCoord),
+			CmdVertexAttribPointerResolved(LocPosition, 2, 0, corners),
+			CmdDrawElementsVBO(DrawModeTriangles, 6, 0),
+			CmdDrawElementsClient(DrawModeTriangles, []uint16{0, 1, 2, 2, 3, 0}),
+			CmdDrawArrays(DrawModeTriStrip, 0, 4),
+		},
+	}
+	for name, seq := range sequences {
+		measured := []Command{CmdClear(ClearColorBit)}
+		for _, cmd := range seq {
+			if res := mustExec(t, gpu, cmd); cmd.IsDraw() {
+				if res.Fragments == 0 {
+					t.Fatalf("%s: %v shaded nothing", name, cmd)
+				}
+				measured = append(measured, cmd)
+			}
+		}
+		n := testing.AllocsPerRun(50, func() {
+			for _, cmd := range measured {
+				if _, err := gpu.Execute(cmd); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if n != 0 {
+			t.Errorf("%s draws allocate %v times per frame", name, n)
+		}
+	}
+}

@@ -59,6 +59,17 @@ gate 'TestDownlinkServeZeroAllocSteadyState' -count=1 ./internal/core/
 # (workers share prev/src/settled, each tile's region its own), through
 # quality steps and a forced keyframe.
 gate 'TestMemoMatchesScanOnlyReference' -race -count=1 ./internal/turbo/
+# Rasterizer exactness under the race detector: the span solver against
+# the per-pixel oracle it replaced, every band degree against the serial
+# render, and the benchmark's workload shapes against hashes taken before
+# the span solver existed. Band workers share the draw scratch read-only
+# and own disjoint framebuffer rows; this is the only race coverage the
+# gles package has.
+gate 'TestSpanMatchesReference|TestParallelRasterByteIdentical|TestWorkloadGolden' -race -count=1 ./internal/gles/
+# Draw allocation gate: a draw from a VBO, from a client array, or
+# through an index buffer reuses the GPU's scratch and allocates nothing.
+# No -race, for the same reason as the two gates above.
+gate 'TestDrawZeroAllocSteadyState' -count=1 ./internal/gles/
 # Batched-egress race gates: sendmmsg/recvmmsg parity with the portable
 # loop (byte-identical wire traffic), and the fleet egress writer's
 # ordering/overflow behavior under producer concurrency.
