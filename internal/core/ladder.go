@@ -11,8 +11,8 @@ import (
 // ceiling; under congestion the ladder steps down toward the floor in
 // multiplicative-ish decrements (sheds bytes fast), and climbs back in
 // small additive increments after consecutive clean samples (probes
-// gently, like AIMD). The header quality byte (turbo packet v2) carries
-// each step to the decoder, so no side channel is needed.
+// gently, like AIMD). The quality byte in every turbo packet header
+// carries each step to the decoder, so no side channel is needed.
 type qualityLadder struct {
 	ceiling int
 	floor   int

@@ -34,6 +34,11 @@ type TrafficResult struct {
 	// Encoder throughput measured on this host (megapixels/second).
 	TurboMPps float64
 	VideoMPps float64
+
+	// DownlinkVideo is the video stand-in's mean packet size over its
+	// three frames (one intra, two inter), written with turbo's own
+	// coefficient coder, so the two byte counts compare like for like.
+	DownlinkVideo float64
 }
 
 // Traffic measures the traffic pipeline on frames of the given
@@ -135,6 +140,7 @@ func Traffic(id string, frames int, seed uint64) (TrafficResult, string, error) 
 		vPixels += int64(workload.StreamW * workload.StreamH)
 	}
 	res.VideoMPps = float64(vPixels) / 1e6 / vTime.Seconds()
+	res.DownlinkVideo = float64(vEnc.Stats.BytesOut) / float64(vEnc.Stats.Frames)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Traffic optimization (§V-A) on %s, %d frames at %dx%d\n",
@@ -145,7 +151,7 @@ func Traffic(id string, frames int, seed uint64) (TrafficResult, string, error) 
 	fmt.Fprintf(&b, "  downlink raw RGBA:        %8.1f KB/frame\n", res.DownlinkRaw/1024)
 	fmt.Fprintf(&b, "  downlink turbo packets:   %8.1f KB/frame (%.0f:1)\n", res.DownlinkTurbo/1024, 1/res.TurboRatio)
 	fmt.Fprintf(&b, "  turbo encoder throughput: %8.1f MP/s on this host\n", res.TurboMPps)
-	fmt.Fprintf(&b, "  video encoder stand-in:   %8.2f MP/s (motion search, x264 role)\n", res.VideoMPps)
+	fmt.Fprintf(&b, "  video encoder stand-in:   %8.2f MP/s (motion search, x264 role), %.1f KB/frame\n", res.VideoMPps, res.DownlinkVideo/1024)
 	fmt.Fprintf(&b, "  encoder speed ratio:      %8.0fx — software video encoding cannot keep real time\n", res.TurboMPps/res.VideoMPps)
 	return res, b.String(), nil
 }

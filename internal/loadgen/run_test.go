@@ -87,7 +87,9 @@ func TestRunAgainstFleet(t *testing.T) {
 // session down from the 85 ceiling toward the 25 floor, surfacing as
 // quality_steps > 0 in the aggregated SLO.
 func TestRunCongestedQualityLadder(t *testing.T) {
-	const w, h = 96, 72
+	// ~2 KB a frame at quality 85: multi-datagram frames are what
+	// congests WiFiCongested (96x72 was that size before turbo's bit coder).
+	const w, h = 160, 120
 	opts := []gbooster.Option{
 		gbooster.WithQuality(85),
 		gbooster.WithAdaptiveQuality(25),

@@ -17,15 +17,14 @@ var (
 	ErrBadSize   = errors.New("turbo: frame size mismatch")
 )
 
-// Packet kinds. The legacy v1 kinds carry no quality byte and decode
-// with the decoder's constructed quality; the v2 kinds (everything the
-// encoder emits today) carry the encoder's effective quality in the
-// header so the decoder always dequantizes with the right table.
+// Packet kinds of wire version 3, the only version (DESIGN.md §14): the
+// header carries the encoder's effective quality, so the decoder always
+// dequantizes with the right table, and each tile entry carries its
+// byte length ahead of a bit-packed payload. Kinds 1-4 belonged to the
+// byte-oriented versions 1 and 2 and are answered with ErrBadPacket.
 const (
-	packetKey    = 1 // v1: every tile encoded, headerless quality
-	packetDelta  = 2 // v1: only changed tiles encoded, headerless quality
-	packetKeyQ   = 3 // v2: keyframe with quality byte
-	packetDeltaQ = 4 // v2: delta with quality byte
+	packetKeyQ   = 5 // every tile encoded
+	packetDeltaQ = 6 // only changed tiles encoded
 )
 
 // DefaultQuality balances the paper's reported ~25:1 compression
@@ -181,18 +180,29 @@ func (e *Encoder) Encode(frame []byte, forceKey bool) ([]byte, error) {
 	return out, nil
 }
 
-// encodeTileInto appends one tile's entry — index uvarint plus the
-// three entropy-coded YCbCr blocks — to out, and mirrors the decoder's
-// reconstruction into prev. Both the serial loop and the parallel path
-// funnel through here, which is what makes their output byte-identical
-// by construction.
+// encodeTileInto appends one tile's entry — index uvarint, payload
+// length, and the three YCbCr blocks as one bitstream padded to a byte —
+// to out, and mirrors the decoder's reconstruction into prev. Both the
+// serial loop and the parallel path funnel through here, and an entry
+// depends on nothing outside its tile, which is what makes their output
+// byte-identical by construction.
 func (e *Encoder) encodeTileInto(out []byte, frame []byte, tx, ty, tw int, yBlk, cbBlk, crBlk *[blockSize * blockSize]int32) []byte {
 	e.loadTile(frame, tx, ty, yBlk, cbBlk, crBlk)
 	out = binary.AppendUvarint(out, uint64(ty*tw+tx))
+	lenAt := len(out)
+	bw := bitWriter{out: append(out, 0)} // one length byte; most tiles need no more
 	for _, blk := range [...]*[blockSize * blockSize]int32{yBlk, cbBlk, crBlk} {
-		out = e.encodeBlock(out, blk)
+		e.qz.codeBlock(&bw, blk)
+		idct8(blk) // reconstruct, exactly as the decoder will
 	}
-	// Reconstruct into prev exactly as the decoder will.
+	out = bw.flush()
+	if size := len(out) - lenAt - 1; size < 0x80 {
+		out[lenAt] = byte(size)
+	} else {
+		out = append(out, 0)
+		copy(out[lenAt+2:], out[lenAt+1:])
+		out[lenAt], out[lenAt+1] = byte(size)|0x80, byte(size>>7)
+	}
 	e.storeTile(e.prev, tx, ty, yBlk, cbBlk, crBlk)
 	return out
 }
@@ -339,55 +349,13 @@ func (e *Encoder) loadTile(frame []byte, tx, ty int, yBlk, cbBlk, crBlk *[blockS
 	}
 }
 
-// encodeBlock forward-transforms, quantizes, entropy-codes the block
-// into out, then reconstructs the block in place (dequantize + IDCT) so
-// the caller can mirror the decoder's state. Quantization is a
-// branch-free reciprocal multiply per coefficient, emitted in zig-zag
-// order.
-func (e *Encoder) encodeBlock(out []byte, blk *[blockSize * blockSize]int32) []byte {
+// codeBlock forward-transforms and quantizes blk and writes its
+// coefficients to bw. blk is left holding the dequantized coefficients,
+// one idct8 away from the samples a decoder will reconstruct.
+func (z *quantizers) codeBlock(bw *bitWriter, blk *[blockSize * blockSize]int32) {
 	fdct8(blk)
 	var zz [blockSize * blockSize]int32
-	last := -1
-	for i := 0; i < blockSize*blockSize; i++ {
-		pos := _zigzag[i]
-		c := int(blk[pos])
-		s := c >> 63 // all-ones for negative c (int is 64-bit on supported targets)
-		q := (((c^s)-s)*int(e.qz.recip[pos]) + quantHalf) >> quantShift
-		q = (q ^ s) - s
-		zz[i] = int32(q)
-		if q != 0 {
-			last = i
-		}
-	}
-	out = appendCoeffs(out, &zz, last)
-	// Reconstruct: dequantize back into raster order and inverse-
-	// transform, exactly as the decoder will.
-	for i := 0; i < blockSize*blockSize; i++ {
-		pos := _zigzag[i]
-		blk[pos] = zz[i] * e.qz.dequant[pos]
-	}
-	idct8(blk)
-	return out
-}
-
-// appendCoeffs encodes zig-zag-ordered quantized coefficients as
-// (zeroRun uvarint, value varint) pairs after a coefficient-count
-// prefix; last is the index of the final nonzero coefficient (-1 for an
-// all-zero block).
-func appendCoeffs(out []byte, zz *[blockSize * blockSize]int32, last int) []byte {
-	out = binary.AppendUvarint(out, uint64(last+1))
-	run := 0
-	for i := 0; i <= last; i++ {
-		v := zz[i]
-		if v == 0 {
-			run++
-			continue
-		}
-		out = binary.AppendUvarint(out, uint64(run))
-		out = binary.AppendVarint(out, int64(v))
-		run = 0
-	}
-	return out
+	bw.putBlock(&zz, z.quantize(blk, &zz))
 }
 
 // storeTile writes reconstructed YCbCr blocks back into an RGBA buffer.
@@ -397,23 +365,16 @@ func (e *Encoder) storeTile(dst []byte, tx, ty int, yBlk, cbBlk, crBlk *[blockSi
 
 func storeTileInto(dst []byte, w, h, tx, ty int, yBlk, cbBlk, crBlk *[blockSize * blockSize]int32) {
 	x0, y0 := tx*blockSize, ty*blockSize
-	for dy := 0; dy < blockSize; dy++ {
-		py := y0 + dy
-		if py >= h {
-			break
-		}
-		for dx := 0; dx < blockSize; dx++ {
-			px := x0 + dx
-			if px >= w {
-				break
-			}
-			k := dy*blockSize + dx
-			r, g, b := yCbCrToRGB(int(yBlk[k])+128, int(cbBlk[k]), int(crBlk[k]))
-			i := (py*w + px) * 4
-			dst[i] = byte(r)
-			dst[i+1] = byte(g)
-			dst[i+2] = byte(b)
-			dst[i+3] = 255
+	cols, rows := min(blockSize, w-x0), min(blockSize, h-y0) // edge tiles are clipped to the frame
+	for dy := 0; dy < rows; dy++ {
+		i := ((y0+dy)*w + x0) * 4
+		row := dst[i : i+cols*4 : i+cols*4]
+		k := dy * blockSize
+		for dx := 0; dx < len(row); dx += 4 {
+			y := int(yBlk[k]) + 128
+			dr, dg, db := chromaToRGB(int(cbBlk[k]), int(crBlk[k]))
+			k++
+			row[dx], row[dx+1], row[dx+2], row[dx+3] = byte(clamp255(y+dr)), byte(clamp255(y+dg)), byte(clamp255(y+db)), 255
 		}
 	}
 }
@@ -421,43 +382,41 @@ func storeTileInto(dst []byte, w, h, tx, ty int, yBlk, cbBlk, crBlk *[blockSize 
 // Decoder reconstructs the frame stream from packets.
 type Decoder struct {
 	w, h    int
-	quality int // effective quality, tracks v2 packet headers
+	quality int // effective quality, tracks packet headers
 	dequant [blockSize * blockSize]int32
 	frame   []byte
 	started bool
 
-	// par is the tile-parallel worker degree; <= 1 keeps the serial
-	// reference path. See decodeTilesParallel for the determinism
-	// argument.
-	par    int
-	spans  []tileSpan // scratch: scanned tile entries, reused
-	work   []int      // scratch: deduped span positions, reused
-	winner []int32    // scratch: tile index -> last span position
+	// par is the tile-parallel worker degree; <= 1 decodes the tiles on
+	// the calling goroutine. See decodeTiles for the determinism argument.
+	par     int
+	entries []tileEntry // scratch: the packet's tile entries, reused
+	winner  []int32     // scratch: tile index -> its last entry
 
 	// Stats accumulate decoded volume.
 	Stats DecoderStats
 }
 
-// tileSpan is one scanned tile entry: its grid index and the byte range
-// holding its three entropy-coded blocks.
-type tileSpan struct {
-	idx  int
-	data []byte
+// tileEntry is one located tile entry: its grid index and where in the
+// packet its payload lies.
+type tileEntry struct {
+	idx, off, size int
 }
 
-// DecoderStats counts decoder work.
+// DecoderStats counts decoder work. Tiles, Frames and BytesIn advance
+// only for packets that decoded.
 type DecoderStats struct {
 	Frames  int
 	Tiles   int
 	BytesIn int64
-	// QualityChanges counts v2 header quality switches that forced a
+	// QualityChanges counts header quality switches that forced a
 	// dequantization-table rebuild.
 	QualityChanges int
 }
 
 // NewDecoder returns a decoder matching NewEncoder(w, h, quality).
 // Out-of-range qualities are clamped to [1,100]. The constructed
-// quality only matters for legacy v1 packets — v2 packets carry the
+// quality only stands until the first packet: every packet carries the
 // encoder's quality in the header and the decoder follows it.
 func NewDecoder(w, h, quality int) *Decoder {
 	if w <= 0 || h <= 0 {
@@ -473,70 +432,78 @@ func NewDecoder(w, h, quality int) *Decoder {
 }
 
 // SetParallelism sets the tile-parallel worker degree: n <= 0 means one
-// worker per CPU, n == 1 the serial reference path. Successful decodes
-// produce byte-identical frames at every degree.
+// worker per CPU, n == 1 the calling goroutine alone. Decode accepts the
+// same packets, with the same error, and produces byte-identical frames
+// at every degree.
 func (d *Decoder) SetParallelism(n int) { d.par = parallel.Degree(n) }
 
 // Quality reports the effective quality: the constructed value until a
-// v2 packet arrives, then whatever the latest packet header carried.
+// packet arrives, then whatever the latest packet header carried.
 func (d *Decoder) Quality() int { return d.quality }
 
 // Decode applies one packet and returns the current full frame. The
 // returned slice aliases the decoder's internal buffer; callers that
 // retain it across Decode calls must copy. Geometry or quality the
 // decoder cannot honor is rejected with ErrBadPacket — it never decodes
-// with mismatched tables.
+// with mismatched tables. A packet can fail with some of its tiles
+// already applied, leaving a frame no encoder produced, so any error
+// puts the decoder back where it started: only a keyframe is accepted
+// next.
 func (d *Decoder) Decode(packet []byte) ([]byte, error) {
+	tiles, err := d.decode(packet)
+	if err != nil {
+		d.started = false
+		return nil, err
+	}
+	d.started = true
+	d.Stats.Frames++
+	d.Stats.Tiles += tiles
+	d.Stats.BytesIn += int64(len(packet))
+	return d.frame, nil
+}
+
+// decode parses the header, locates the tile entries, and applies them;
+// it returns how many entries the packet carried.
+func (d *Decoder) decode(packet []byte) (int, error) {
 	if len(packet) < 1 {
-		return nil, fmt.Errorf("%w: empty", ErrBadPacket)
+		return 0, fmt.Errorf("%w: empty", ErrBadPacket)
 	}
 	kind := packet[0]
-	var key, hasQ bool
-	switch kind {
-	case packetKey:
-		key = true
-	case packetDelta:
-	case packetKeyQ:
-		key, hasQ = true, true
-	case packetDeltaQ:
-		hasQ = true
-	default:
-		return nil, fmt.Errorf("%w: kind %d", ErrBadPacket, kind)
+	if kind != packetKeyQ && kind != packetDeltaQ {
+		return 0, fmt.Errorf("%w: kind %d", ErrBadPacket, kind)
 	}
 	p := packet[1:]
 	w, n := binary.Uvarint(p)
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: width", ErrBadPacket)
+		return 0, fmt.Errorf("%w: width", ErrBadPacket)
 	}
 	p = p[n:]
 	h, n := binary.Uvarint(p)
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: height", ErrBadPacket)
+		return 0, fmt.Errorf("%w: height", ErrBadPacket)
 	}
 	p = p[n:]
 	if int64(w) != int64(d.w) || int64(h) != int64(d.h) {
-		return nil, fmt.Errorf("%w: packet %dx%d, decoder %dx%d", ErrBadPacket, w, h, d.w, d.h)
+		return 0, fmt.Errorf("%w: packet %dx%d, decoder %dx%d", ErrBadPacket, w, h, d.w, d.h)
 	}
-	if hasQ {
-		if len(p) < 1 {
-			return nil, fmt.Errorf("%w: quality", ErrBadPacket)
-		}
-		q := int(p[0])
-		p = p[1:]
-		if q < 1 || q > 100 {
-			return nil, fmt.Errorf("%w: quality %d", ErrBadPacket, q)
-		}
-		if q != d.quality {
-			d.quality = q
-			d.dequant = buildQuantizers(q).dequant
-			d.Stats.QualityChanges++
-		}
+	if len(p) < 1 {
+		return 0, fmt.Errorf("%w: quality", ErrBadPacket)
 	}
-	if !key && !d.started {
-		return nil, fmt.Errorf("%w: delta before keyframe", ErrBadPacket)
+	q := int(p[0])
+	p = p[1:]
+	if q < 1 || q > 100 {
+		return 0, fmt.Errorf("%w: quality %d", ErrBadPacket, q)
+	}
+	if q != d.quality {
+		d.quality = q
+		d.dequant = buildQuantizers(q).dequant
+		d.Stats.QualityChanges++
+	}
+	if kind == packetDeltaQ && !d.started {
+		return 0, fmt.Errorf("%w: delta before keyframe", ErrBadPacket)
 	}
 	if len(p) < 4 {
-		return nil, fmt.Errorf("%w: tile count", ErrBadPacket)
+		return 0, fmt.Errorf("%w: tile count", ErrBadPacket)
 	}
 	count := binary.LittleEndian.Uint32(p)
 	p = p[4:]
@@ -544,171 +511,119 @@ func (d *Decoder) Decode(packet []byte) ([]byte, error) {
 	tw, th := tilesDim(d.w), tilesDim(d.h)
 	maxTiles := tw * th
 	if int64(count) > int64(maxTiles) {
-		return nil, fmt.Errorf("%w: %d tiles, grid has %d", ErrBadPacket, count, maxTiles)
+		return 0, fmt.Errorf("%w: %d tiles, grid has %d", ErrBadPacket, count, maxTiles)
 	}
-	if d.par > 1 && count > 1 {
-		return d.decodeTilesParallel(packet, p, int(count), tw, maxTiles)
-	}
-	var yBlk, cbBlk, crBlk [blockSize * blockSize]int32
+
+	// Locate every entry by its length prefix: O(tiles), no coefficient
+	// is looked at. A framing error is found here, before any pixel moves.
+	entries := d.entries[:0]
 	for t := uint32(0); t < count; t++ {
 		idx, n := binary.Uvarint(p)
 		// The index is range-checked in uint64 before any int cast: a
 		// crafted 64-bit index must not wrap negative and slip past.
 		if n <= 0 || idx >= uint64(maxTiles) {
-			return nil, fmt.Errorf("%w: tile index", ErrBadPacket)
+			return 0, fmt.Errorf("%w: tile index", ErrBadPacket)
 		}
 		p = p[n:]
-		for _, blk := range [...]*[blockSize * blockSize]int32{&yBlk, &cbBlk, &crBlk} {
-			rest, err := d.decodeBlock(p, blk)
-			if err != nil {
-				return nil, err
-			}
-			p = rest
+		if len(p) < 1 {
+			return 0, fmt.Errorf("%w: tile length", ErrBadPacket)
 		}
-		storeTileInto(d.frame, d.w, d.h, int(idx)%tw, int(idx)/tw, &yBlk, &cbBlk, &crBlk)
-		d.Stats.Tiles++
+		size, n := int(p[0]), 1
+		if size >= 0x80 {
+			if len(p) < 2 || p[1] >= 0x80 {
+				return 0, fmt.Errorf("%w: tile length", ErrBadPacket)
+			}
+			size, n = size&0x7f|int(p[1])<<7, 2
+		}
+		p = p[n:]
+		if size > len(p) {
+			return 0, fmt.Errorf("%w: tile length %d past packet end", ErrBadPacket, size)
+		}
+		entries = append(entries, tileEntry{idx: int(idx), off: len(packet) - len(p), size: size})
+		p = p[size:]
 	}
+	d.entries = entries
 	if len(p) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPacket, len(p))
+		return 0, fmt.Errorf("%w: %d trailing bytes", ErrBadPacket, len(p))
 	}
-	d.started = true
-	d.Stats.Frames++
-	d.Stats.BytesIn += int64(len(packet))
-	return d.frame, nil
+	return len(entries), d.decodeTiles(packet, tw, maxTiles)
 }
 
-// decodeTilesParallel splits the packet in two passes: a serial
-// structural scan that locates and validates every tile entry (running
-// the exact validation of the serial path, via decodeBlock in scan-only
-// mode), then a parallel pass doing the expensive work — dequantize,
-// IDCT, color conversion, store — across the worker pool. Tiles write
-// disjoint frame regions, so after de-duplicating repeated tile indices
-// (last entry wins, matching serial overwrite order) the result is
-// byte-identical to the serial path. On a malformed packet the scan
-// rejects it before any pixel is touched.
-func (d *Decoder) decodeTilesParallel(packet, p []byte, count, tw, maxTiles int) ([]byte, error) {
-	spans := d.spans[:0]
-	for t := 0; t < count; t++ {
-		idx, n := binary.Uvarint(p)
-		if n <= 0 || idx >= uint64(maxTiles) {
-			return nil, fmt.Errorf("%w: tile index", ErrBadPacket)
-		}
-		p = p[n:]
-		start := p
-		for b := 0; b < 3; b++ {
-			rest, err := d.decodeBlock(p, nil)
-			if err != nil {
-				return nil, err
-			}
-			p = rest
-		}
-		spans = append(spans, tileSpan{idx: int(idx), data: start[:len(start)-len(p)]})
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPacket, len(p))
-	}
-	d.spans = spans
-
-	// Last-wins de-duplication: a (malformed but decodable) packet may
-	// list a tile twice; the serial path overwrites in entry order, so
-	// only the final entry per tile index may execute in parallel.
+// decodeTiles parses and applies the located entries, fanned out across
+// the worker pool when par > 1. Each entry's coefficients are parsed
+// once, straight into the blocks the IDCT runs on. Tiles write disjoint
+// frame regions, except that a (malformed but decodable) packet may list
+// a tile twice: every entry is parsed and validated, but only the last
+// one per tile index is stored, which is what applying them in entry
+// order on one goroutine leaves behind. The error returned is that of
+// the first bad entry in entry order, at every degree.
+func (d *Decoder) decodeTiles(packet []byte, tw, maxTiles int) error {
 	if len(d.winner) < maxTiles {
 		d.winner = make([]int32, maxTiles)
 	}
-	for t, s := range spans {
-		d.winner[s.idx] = int32(t)
+	for t, en := range d.entries {
+		d.winner[en.idx] = int32(t)
 	}
-	work := d.work[:0]
-	for t, s := range spans {
-		if d.winner[s.idx] == int32(t) {
-			work = append(work, t)
-		}
+	n := len(d.entries)
+	if d.par <= 1 || n <= 1 {
+		_, err := d.decodeSpan(packet, tw, 0, n)
+		return err
 	}
-	d.work = work
-
 	var (
-		errMu  sync.Mutex
-		anyErr error
+		mu       sync.Mutex
+		firstBad = n
+		firstErr error
 	)
-	parallel.Do(d.par, len(work), func(lo, hi int) {
-		var yBlk, cbBlk, crBlk [blockSize * blockSize]int32
-		for k := lo; k < hi; k++ {
-			s := spans[work[k]]
-			q := s.data
-			for _, blk := range [...]*[blockSize * blockSize]int32{&yBlk, &cbBlk, &crBlk} {
-				rest, err := d.decodeBlock(q, blk)
-				if err != nil {
-					// Unreachable: the scan already validated this span.
-					errMu.Lock()
-					if anyErr == nil {
-						anyErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				q = rest
+	parallel.Do(d.par, n, func(lo, hi int) {
+		if bad, err := d.decodeSpan(packet, tw, lo, hi); err != nil {
+			mu.Lock()
+			if bad < firstBad {
+				firstBad, firstErr = bad, err
 			}
-			storeTileInto(d.frame, d.w, d.h, s.idx%tw, s.idx/tw, &yBlk, &cbBlk, &crBlk)
+			mu.Unlock()
 		}
 	})
-	if anyErr != nil {
-		return nil, anyErr
-	}
-	d.Stats.Tiles += len(spans)
-	d.started = true
-	d.Stats.Frames++
-	d.Stats.BytesIn += int64(len(packet))
-	return d.frame, nil
+	return firstErr
 }
 
-// decodeBlock parses one entropy-coded block and inverse-transforms it
-// into blk. A nil blk runs in scan-only mode: full parse and validation
-// with the transform skipped — the parallel path uses it so structural
-// errors surface exactly as the serial path reports them.
-func (d *Decoder) decodeBlock(p []byte, blk *[blockSize * blockSize]int32) ([]byte, error) {
-	total, n := binary.Uvarint(p)
-	if n <= 0 || total > blockSize*blockSize {
-		return nil, fmt.Errorf("%w: coeff count", ErrBadPacket)
-	}
-	p = p[n:]
-	if blk != nil {
-		*blk = [blockSize * blockSize]int32{}
-	}
-	for i := uint64(0); i < total; {
-		run, n := binary.Uvarint(p)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: zero run", ErrBadPacket)
+// decodeSpan applies entries [lo,hi) in order and stops at the first
+// bad one, returning its position and error.
+func (d *Decoder) decodeSpan(packet []byte, tw, lo, hi int) (int, error) {
+	var yBlk, cbBlk, crBlk [blockSize * blockSize]int32
+	for t := lo; t < hi; t++ {
+		en := d.entries[t]
+		if err := d.decodeTile(packet[en.off:], en.size, &yBlk, &cbBlk, &crBlk); err != nil {
+			return t, err
 		}
-		p = p[n:]
-		// Validated in uint64 before advancing: a crafted 64-bit run
-		// must not wrap the position negative and index out of bounds.
-		if run >= total-i {
-			return nil, fmt.Errorf("%w: run past block", ErrBadPacket)
+		if d.winner[en.idx] == int32(t) {
+			storeTileInto(d.frame, d.w, d.h, en.idx%tw, en.idx/tw, &yBlk, &cbBlk, &crBlk)
 		}
-		i += run
-		v, n := binary.Varint(p)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: coeff value", ErrBadPacket)
-		}
-		p = p[n:]
-		if blk != nil {
-			// Bound hostile coefficients so the IDCT arithmetic stays in
-			// range; honest encoders never exceed this (see maxCoeff).
-			if v > maxCoeff {
-				v = maxCoeff
-			} else if v < -maxCoeff {
-				v = -maxCoeff
-			}
-			pos := _zigzag[i]
-			blk[pos] = int32(v) * d.dequant[pos]
-		}
-		i++
 	}
-	if blk == nil {
-		return p, nil
+	return hi, nil
+}
+
+// decodeTile parses one tile's bitstream — the first size bytes of rest,
+// which runs on to the end of the packet so the reader can load eight
+// bytes at a time — and inverse-transforms its three blocks. The stream
+// must end inside its last byte, with zero padding.
+func (d *Decoder) decodeTile(rest []byte, size int, yBlk, cbBlk, crBlk *[blockSize * blockSize]int32) error {
+	r := bitReader{data: rest}
+	for _, blk := range [...]*[blockSize * blockSize]int32{yBlk, cbBlk, crBlk} {
+		if err := r.block(blk, &d.dequant); err != nil {
+			return err
+		}
+		idct8(blk)
 	}
-	idct8(blk)
-	return p, nil
+	pad := size<<3 - r.used()
+	switch {
+	case pad < 0:
+		return errTruncated
+	case pad >= 8:
+		return errUnread
+	case rest[size-1]&(1<<uint(pad)-1) != 0:
+		return errPadding
+	}
+	return nil
 }
 
 // PSNR computes peak signal-to-noise ratio between two same-length RGBA

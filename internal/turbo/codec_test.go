@@ -411,6 +411,32 @@ func TestVideoEncoderMuchSlowerThanTurbo(t *testing.T) {
 	}
 }
 
+// BenchmarkIDCT8 times the inverse transform on the three shapes a
+// quantized block takes: every coefficient set, DC alone (all eight
+// columns take the pass-1 shortcut), and a DC plus a few low-frequency
+// terms (most columns do).
+func BenchmarkIDCT8(b *testing.B) {
+	var dense, dcOnly, sparse [blockSize * blockSize]int32
+	r := sim.NewRNG(8)
+	for i := range dense {
+		dense[i] = int32(r.Intn(401) - 200)
+	}
+	dcOnly[0] = 640
+	sparse[0], sparse[1], sparse[8], sparse[9] = 640, -96, 48, 24
+	for _, c := range []struct {
+		name string
+		src  *[blockSize * blockSize]int32
+	}{{"dense", &dense}, {"dc-only", &dcOnly}, {"sparse", &sparse}} {
+		b.Run(c.name, func(b *testing.B) {
+			var blk [blockSize * blockSize]int32
+			for i := 0; i < b.N; i++ {
+				blk = *c.src
+				idct8(&blk)
+			}
+		})
+	}
+}
+
 func BenchmarkVideoEncode(b *testing.B) {
 	const w, h = 320, 240
 	enc := NewVideoEncoder(w, h, DefaultQuality, 8)

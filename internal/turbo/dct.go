@@ -152,6 +152,18 @@ func fdct8(blk *[blockSize * blockSize]int32) {
 func idct8(blk *[blockSize * blockSize]int32) {
 	// Pass 1: columns, keeping pass1Bits extra precision.
 	for i := 0; i < blockSize; i++ {
+		// A column with no AC term is its DC term in every row: the
+		// butterfly below computes descale(dc<<constBits, constBits-
+		// pass1Bits) eight times, which is exactly dc<<pass1Bits.
+		// Quantized blocks are mostly such columns.
+		if blk[i+1*blockSize]|blk[i+2*blockSize]|blk[i+3*blockSize]|blk[i+4*blockSize]|
+			blk[i+5*blockSize]|blk[i+6*blockSize]|blk[i+7*blockSize] == 0 {
+			dc := blk[i] << pass1Bits
+			blk[i+0*blockSize], blk[i+1*blockSize], blk[i+2*blockSize], blk[i+3*blockSize] = dc, dc, dc, dc
+			blk[i+4*blockSize], blk[i+5*blockSize], blk[i+6*blockSize], blk[i+7*blockSize] = dc, dc, dc, dc
+			continue
+		}
+
 		// Even part.
 		z2 := int(blk[i+2*blockSize])
 		z3 := int(blk[i+6*blockSize])
@@ -370,6 +382,28 @@ func buildQuantizers(quality int) quantizers {
 	return z
 }
 
+// quantize turns fdct8's output in blk into quantized levels in zig-zag
+// order in zz and returns the index of the last nonzero one (-1 for an
+// all-zero block). Quantization is a branch-free reciprocal multiply per
+// coefficient. blk is left holding the dequantized coefficients in
+// raster order — exactly what a decoder feeds idct8 after parsing zz.
+func (z *quantizers) quantize(blk, zz *[blockSize * blockSize]int32) int {
+	last := -1
+	for i := range zz {
+		pos := _zigzag[i]
+		c := int(blk[pos])
+		s := c >> 63 // all-ones for negative c (int is 64-bit on supported targets)
+		q := (((c^s)-s)*int(z.recip[pos]) + quantHalf) >> quantShift
+		q = (q ^ s) - s
+		zz[i] = int32(q)
+		blk[pos] = int32(q) * z.dequant[pos]
+		if q != 0 {
+			last = i
+		}
+	}
+	return last
+}
+
 // Integer color conversion: coefficients scaled by 2^colorBits,
 // rounded. The forward luma weights sum to exactly 1<<colorBits, so a
 // gray input converts with zero error.
@@ -390,8 +424,23 @@ func rgbToYCbCr(r, g, b int) (y, cb, cr int) {
 // yCbCrToRGB converts back (y 0..255, cb/cr centred on 0), clamping to
 // [0,255].
 func yCbCrToRGB(y, cb, cr int) (r, g, b int) {
-	r = clampInt(y+(91881*cr+colorHalf)>>colorBits, 0, 255)
-	g = clampInt(y-(22554*cb+46802*cr+colorHalf)>>colorBits, 0, 255)
-	b = clampInt(y+(116130*cb+colorHalf)>>colorBits, 0, 255)
-	return r, g, b
+	dr, dg, db := chromaToRGB(cb, cr)
+	return clamp255(y + dr), clamp255(y + dg), clamp255(y + db)
+}
+
+// chromaToRGB is what a pixel's chroma adds to its luma in each of the
+// three channels, before clamping.
+func chromaToRGB(cb, cr int) (dr, dg, db int) {
+	dr = (91881*cr + colorHalf) >> colorBits
+	dg = -((22554*cb + 46802*cr + colorHalf) >> colorBits)
+	db = (116130*cb + colorHalf) >> colorBits
+	return dr, dg, db
+}
+
+// clamp255 is clampInt(v, 0, 255) with one compare on the common path.
+func clamp255(v int) int {
+	if uint(v) > 255 {
+		return clampInt(v, 0, 255)
+	}
+	return v
 }

@@ -2,7 +2,6 @@ package turbo
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -10,83 +9,50 @@ import (
 )
 
 // FuzzDecode drives the decoder with arbitrary packets at serial and
-// parallel degrees. The seed corpus covers the hostile shapes that have
-// bitten the tile-apply path: out-of-range (including int-wrapping)
-// tile indices, truncated and overlong uvarints, duplicate tile
-// entries, and bad quality bytes — plus valid v1/v2 packets so the fuzz
-// explores mutations of real structure.
+// parallel degrees. The seed corpus holds valid key and delta packets at
+// two qualities, so the fuzz explores mutations of real structure; one
+// packet for each hostile shape the parser must refuse (malformedPackets:
+// int-wrapping tile indices, truncated uvarints, tile lengths that
+// overrun the packet or leave bytes unread, a stream cut mid-gamma, a
+// gamma code with 24 leading zeros, count 65, runs past the block,
+// nonzero padding, the retired kinds 1-4); a decodable duplicate tile
+// entry; and a bad quality byte.
 func FuzzDecode(f *testing.F) {
 	const w, h = 32, 32
-	enc := NewEncoder(w, h, 60)
-	valid, err := enc.Encode(testFrame(w, h, 5, 5), false)
-	if err != nil {
-		f.Fatal(err)
-	}
-	valid = append([]byte(nil), valid...)
-	f.Add(valid)
-	// Legacy v1 form of the same packet.
-	{
-		p := valid[1:]
-		_, n1 := binary.Uvarint(p)
-		_, n2 := binary.Uvarint(p[n1:])
-		qAt := 1 + n1 + n2
-		legacy := append([]byte{packetKey}, valid[1:qAt]...)
-		f.Add(append(legacy, valid[qAt+1:]...))
-	}
-	header := func(count uint32) []byte {
-		pkt := []byte{packetKeyQ}
-		pkt = binary.AppendUvarint(pkt, w)
-		pkt = binary.AppendUvarint(pkt, h)
-		pkt = append(pkt, DefaultQuality)
-		var c [4]byte
-		binary.LittleEndian.PutUint32(c[:], count)
-		return append(pkt, c[:]...)
-	}
-	// Out-of-range tile indices: just past the grid, and 64-bit values
-	// that wrap negative through int().
-	f.Add(append(binary.AppendUvarint(header(1), 16), 0))
-	f.Add(append(binary.AppendUvarint(header(2), 1<<63), 0))
-	f.Add(append(binary.AppendUvarint(header(2), ^uint64(0)>>1), 0))
-	// Truncated uvarints: continuation bits with no terminator, both as
-	// a tile index and as a coefficient run.
-	f.Add(append(header(1), 0xFF, 0xFF, 0xFF))
-	f.Add(append(binary.AppendUvarint(header(1), 0), 0xFF, 0xFF))
-	// Overlong zero run wrapping the coefficient position.
-	{
-		pkt := binary.AppendUvarint(header(2), 0)
-		pkt = binary.AppendUvarint(pkt, 64)
-		pkt = binary.AppendUvarint(pkt, 1<<63)
-		f.Add(binary.AppendVarint(pkt, 3))
-	}
-	// Duplicate tile entries (decodable; last entry must win).
-	{
-		pkt := header(2)
-		for i := 0; i < 2; i++ {
-			pkt = binary.AppendUvarint(pkt, 0)
-			pkt = append(pkt, 0, 0, 0) // three empty blocks
+	for _, q := range []int{60, 25} {
+		enc := NewEncoder(w, h, q)
+		for _, ox := range []int{5, 9} {
+			pkt, err := enc.Encode(testFrame(w, h, ox, 5), false)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(append([]byte(nil), pkt...))
 		}
+	}
+	for _, pkt := range malformedPackets(w, h) {
 		f.Add(pkt)
 	}
-	// Bad quality byte.
-	{
-		pkt := []byte{packetKeyQ}
-		pkt = binary.AppendUvarint(pkt, w)
-		pkt = binary.AppendUvarint(pkt, h)
-		pkt = append(pkt, 0, 0, 0, 0, 0)
-		f.Add(pkt)
-	}
+	f.Add(emptyTile(emptyTile(hostileHeader(w, h, 2), 0), 0)) // last entry must win
+	badQuality := hostileHeader(w, h, 0)
+	badQuality[3] = 0
+	f.Add(badQuality)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := NewDecoder(w, h, 60)
+		dec.started = true // deltas reach the tile parser too
 		frame, err := dec.Decode(data)
 		if err == nil && len(frame) != w*h*4 {
 			t.Fatalf("accepted packet returned %d-byte frame", len(frame))
 		}
-		// The parallel path must agree with serial on accept/reject and
-		// on the decoded pixels.
+		if (err == nil) != dec.started {
+			t.Fatalf("err=%v leaves started=%v", err, dec.started)
+		}
+		// The parallel path must agree with serial on accept/reject, on
+		// the error, and on the decoded pixels.
 		par := NewDecoder(w, h, 60)
+		par.started = true
 		par.SetParallelism(4)
 		pframe, perr := par.Decode(data)
-		if (err == nil) != (perr == nil) {
+		if (err == nil) != (perr == nil) || (err != nil && err.Error() != perr.Error()) {
 			t.Fatalf("serial err=%v, parallel err=%v", err, perr)
 		}
 		if err == nil && !bytes.Equal(frame, pframe) {

@@ -68,7 +68,7 @@ func (r *scanOnlyEncoder) tileChanged(frame []byte, tx, ty int) bool {
 	return n > 0 && float64(sad) > 2.0*float64(n)
 }
 
-// packetTiles reads the tile count out of a v2 packet header.
+// packetTiles reads the tile count out of a packet header.
 func packetTiles(t *testing.T, pkt []byte) (kind byte, count int) {
 	t.Helper()
 	p := pkt[1:]

@@ -167,8 +167,8 @@ func TestParallelDecodeByteIdentical(t *testing.T) {
 // matching the serial path's overwrite order.
 func TestParallelDecodeDuplicateTileLastWins(t *testing.T) {
 	const w, h = 16, 8 // 2x1 tile grid, so count=2 stays within bounds
-	// Uniform frames make both tile entries byte-identical, so the tile
-	// 0 entry is exactly the first half of the packet body.
+	// entry cuts tile 0's entry out of a real keyframe: index byte, length
+	// byte, payload.
 	entry := func(shade byte) []byte {
 		f := make([]byte, w*h*4)
 		for i := 0; i < len(f); i += 4 {
@@ -179,10 +179,10 @@ func TestParallelDecodeDuplicateTileLastWins(t *testing.T) {
 			t.Fatal(err)
 		}
 		header := 1 + 1 + 1 + 1 + 4 // kind, w uvarint, h uvarint, quality, count
-		if (len(pkt)-header)%2 != 0 {
-			t.Fatalf("uniform packet body %d not even", len(pkt)-header)
+		if pkt[header] != 0 || pkt[header+1] >= 0x80 {
+			t.Fatalf("entry starts % x, want tile 0 with a one-byte length", pkt[header:header+2])
 		}
-		return pkt[header : header+(len(pkt)-header)/2]
+		return pkt[header : header+2+int(pkt[header+1])]
 	}
 	a, b := entry(40), entry(200)
 	pkt := []byte{packetKeyQ}
@@ -285,11 +285,15 @@ func BenchmarkTurboEncode(b *testing.B) {
 				}
 				b.SetBytes(int64(sz.w * sz.h * 4))
 				b.ResetTimer()
+				packetBytes := 0
 				for i := 0; i < b.N; i++ {
-					if _, err := enc.Encode(frames[i%2], false); err != nil {
+					pkt, err := enc.Encode(frames[i%2], false)
+					if err != nil {
 						b.Fatal(err)
 					}
+					packetBytes += len(pkt)
 				}
+				b.ReportMetric(float64(packetBytes)/float64(b.N), "packetB/frame")
 			})
 		}
 	}
@@ -326,6 +330,7 @@ func BenchmarkTurboDecode(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				b.ReportMetric(float64(len(pkts[0])+len(pkts[1]))/2, "packetB/frame")
 			})
 		}
 	}

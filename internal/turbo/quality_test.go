@@ -7,31 +7,10 @@ import (
 	"testing"
 )
 
-// toLegacy rewrites a v2 packet (quality byte in the header) into the
-// legacy v1 format: kind 3/4 -> 1/2 with the quality byte spliced out.
-func toLegacy(t *testing.T, pkt []byte) []byte {
-	t.Helper()
-	var kind byte
-	switch pkt[0] {
-	case packetKeyQ:
-		kind = packetKey
-	case packetDeltaQ:
-		kind = packetDelta
-	default:
-		t.Fatalf("not a v2 packet: kind %d", pkt[0])
-	}
-	p := pkt[1:]
-	_, n1 := binary.Uvarint(p)
-	_, n2 := binary.Uvarint(p[n1:])
-	qAt := 1 + n1 + n2
-	out := append([]byte{kind}, pkt[1:qAt]...)
-	return append(out, pkt[qAt+1:]...)
-}
-
 // TestPacketHeaderCarriesQuality is the quality-handshake regression:
-// before the v2 header, a decoder constructed at a different quality
-// silently dequantized with the wrong table and emitted corrupt frames.
-// Now the packet carries the encoder's quality and the decoder follows
+// before the header carried it, a decoder constructed at a different
+// quality silently dequantized with the wrong table and emitted corrupt
+// frames. Now the packet carries the encoder's quality and the decoder follows
 // it, so a mismatched decoder reconstructs the exact same frame as a
 // matched one.
 func TestPacketHeaderCarriesQuality(t *testing.T) {
@@ -57,59 +36,11 @@ func TestPacketHeaderCarriesQuality(t *testing.T) {
 		t.Fatal("decoder constructed at the wrong quality diverged despite the header quality byte")
 	}
 	if q := mismatched.Quality(); q != 90 {
-		t.Fatalf("decoder quality = %d after v2 packet, want 90", q)
+		t.Fatalf("decoder quality = %d after the packet, want 90", q)
 	}
 	if mismatched.Stats.QualityChanges != 1 || matched.Stats.QualityChanges != 0 {
 		t.Fatalf("QualityChanges: mismatched %d (want 1), matched %d (want 0)",
 			mismatched.Stats.QualityChanges, matched.Stats.QualityChanges)
-	}
-}
-
-// TestLegacyHeaderlessPacketDecodes: v1 packets (no quality byte) still
-// decode, using the decoder's constructed quality, and reconstruct the
-// same frame their v2 counterparts do.
-func TestLegacyHeaderlessPacketDecodes(t *testing.T) {
-	const w, h = 40, 24
-	enc := NewEncoder(w, h, DefaultQuality)
-	key, err := enc.Encode(testFrame(w, h, 4, 4), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key = append([]byte(nil), key...)
-	delta, err := enc.Encode(testFrame(w, h, 12, 4), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta = append([]byte(nil), delta...)
-
-	v2 := NewDecoder(w, h, DefaultQuality)
-	wantKey, err := v2.Decode(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantKey = append([]byte(nil), wantKey...)
-	wantDelta, err := v2.Decode(delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	v1 := NewDecoder(w, h, DefaultQuality)
-	gotKey, err := v1.Decode(toLegacy(t, key))
-	if err != nil {
-		t.Fatalf("legacy keyframe: %v", err)
-	}
-	if !bytes.Equal(wantKey, gotKey) {
-		t.Fatal("legacy keyframe decode diverged from v2")
-	}
-	gotDelta, err := v1.Decode(toLegacy(t, delta))
-	if err != nil {
-		t.Fatalf("legacy delta: %v", err)
-	}
-	if !bytes.Equal(wantDelta, gotDelta) {
-		t.Fatal("legacy delta decode diverged from v2")
-	}
-	if v1.Stats.QualityChanges != 0 {
-		t.Fatalf("legacy packets changed quality: %d", v1.Stats.QualityChanges)
 	}
 }
 
@@ -205,7 +136,7 @@ func TestSetQualityMidStream(t *testing.T) {
 	}
 }
 
-// hostileHeader builds a valid v2 header for a w×h decoder with the
+// hostileHeader builds a valid keyframe header for a w×h decoder with the
 // given tile count.
 func hostileHeader(w, h int, count uint32) []byte {
 	pkt := []byte{packetKeyQ}
@@ -236,21 +167,24 @@ func TestDecodeRejectsHugeTileIndex(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsHugeZeroRun: a 64-bit zero run that would wrap the
-// coefficient position negative must be rejected in unsigned space
-// (pre-fix this panicked indexing the zigzag table).
+// TestDecodeRejectsHugeZeroRun: a zero run reaching past the block must
+// be rejected before it indexes the zigzag table — both a run the gamma
+// code can carry but no block can hold, and one that merely overshoots
+// the block's own count.
 func TestDecodeRejectsHugeZeroRun(t *testing.T) {
 	const w, h = 16, 8
-	pkt := hostileHeader(w, h, 2) // parallel scan path, rejects entry 0
-	pkt = binary.AppendUvarint(pkt, 0)  // tile 0
-	pkt = binary.AppendUvarint(pkt, 64) // full coefficient count
-	pkt = binary.AppendUvarint(pkt, 1<<63)
-	pkt = binary.AppendVarint(pkt, 5)
-	for _, par := range []int{1, 4} {
-		dec := NewDecoder(w, h, DefaultQuality)
-		dec.SetParallelism(par)
-		if _, err := dec.Decode(pkt); !errors.Is(err, ErrBadPacket) {
-			t.Fatalf("par=%d: huge run err = %v, want ErrBadPacket", par, err)
+	for name, run := range map[string]uint64{"2^20": 1 << 20, "past count": 40} {
+		pkt := hostileHeader(w, h, 2) // two entries, so par > 1 fans out
+		pkt = appendTile(pkt, 0,
+			bitField{40, countBits}, gamma(run+1), gamma(5), bitField{0, 1},
+			bitField{0, countBits}, bitField{0, countBits})
+		pkt = appendTile(pkt, 1, bitField{0, countBits}, bitField{0, countBits}, bitField{0, countBits})
+		for _, par := range []int{1, 4} {
+			dec := NewDecoder(w, h, DefaultQuality)
+			dec.SetParallelism(par)
+			if _, err := dec.Decode(pkt); !errors.Is(err, ErrBadPacket) {
+				t.Fatalf("run %s par=%d: huge run err = %v, want ErrBadPacket", name, par, err)
+			}
 		}
 	}
 }
@@ -261,12 +195,13 @@ func TestDecodeRejectsHugeZeroRun(t *testing.T) {
 func TestDecodeClampsHostileCoefficients(t *testing.T) {
 	const w, h = 8, 8
 	pkt := hostileHeader(w, h, 1)
-	pkt = binary.AppendUvarint(pkt, 0) // tile 0
+	var fields []bitField
 	for b := 0; b < 3; b++ {
-		pkt = binary.AppendUvarint(pkt, 1) // one coefficient
-		pkt = binary.AppendUvarint(pkt, 0)
-		pkt = binary.AppendVarint(pkt, 1<<40) // far beyond maxCoeff
+		// One coefficient, the widest level the reader parses: far
+		// beyond maxCoeff.
+		fields = append(fields, bitField{1, countBits}, gamma(1), gamma(1<<(maxGammaZeros+1)-1), bitField{uint64(b & 1), 1})
 	}
+	pkt = appendTile(pkt, 0, fields...)
 	dec := NewDecoder(w, h, DefaultQuality)
 	if _, err := dec.Decode(pkt); err != nil {
 		t.Fatalf("clamped hostile coefficients should decode: %v", err)

@@ -73,9 +73,13 @@ func (v *VideoEncoder) Encode(frame []byte) ([]byte, error) {
 			out = binary.AppendVarint(out, int64(mvx))
 			out = binary.AppendVarint(out, int64(mvy))
 			v.loadResidual(frame, tx, ty, mvx, mvy, &yBlk, &cbBlk, &crBlk)
+			// Residuals go through turbo's own transform and coefficient
+			// writer (no reconstruction — the speed model does not decode).
+			bw := bitWriter{out: out}
 			for _, blk := range [...]*[blockSize * blockSize]int32{&yBlk, &cbBlk, &crBlk} {
-				out = v.encodeBlock(out, blk)
+				v.qz.codeBlock(&bw, blk)
 			}
+			out = bw.flush()
 		}
 	}
 	copy(v.prev, frame) // open-loop reference is fine for a speed model
@@ -161,26 +165,6 @@ func (v *VideoEncoder) loadResidual(frame []byte, tx, ty, mvx, mvy int, yBlk, cb
 			crBlk[k] = int32(fCr - pCr)
 		}
 	}
-}
-
-// encodeBlock transform-codes a residual block (no reconstruction
-// needed — the speed model does not decode).
-func (v *VideoEncoder) encodeBlock(out []byte, blk *[blockSize * blockSize]int32) []byte {
-	fdct8(blk)
-	var zz [blockSize * blockSize]int32
-	last := -1
-	for i := 0; i < blockSize*blockSize; i++ {
-		pos := _zigzag[i]
-		c := int(blk[pos])
-		s := c >> 63
-		q := (((c^s)-s)*int(v.qz.recip[pos]) + quantHalf) >> quantShift
-		q = (q ^ s) - s
-		zz[i] = int32(q)
-		if q != 0 {
-			last = i
-		}
-	}
-	return appendCoeffs(out, &zz, last)
 }
 
 func clampInt(v, lo, hi int) int {

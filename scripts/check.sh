@@ -59,6 +59,13 @@ gate 'TestDownlinkServeZeroAllocSteadyState' -count=1 ./internal/core/
 # (workers share prev/src/settled, each tile's region its own), through
 # quality steps and a forced keyframe.
 gate 'TestMemoMatchesScanOnlyReference' -race -count=1 ./internal/turbo/
+# Turbo packet parser fuzz smoke: ten seconds of mutations of the seed
+# corpus (valid key/delta packets plus one packet per malformed shape the
+# bit reader and the tile framing must refuse) at serial and parallel
+# degree. No panic; serial and parallel agree on accept/reject, on the
+# error and on the pixels; an error always leaves the decoder waiting
+# for a keyframe.
+go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/turbo/
 # Rasterizer exactness under the race detector: the span solver against
 # the per-pixel oracle it replaced, every band degree against the serial
 # render, and the benchmark's workload shapes against hashes taken before

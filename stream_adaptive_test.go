@@ -14,7 +14,10 @@ import (
 // sorted per-frame StepFrame latencies.
 func runConstrainedSession(t *testing.T, seed uint64, frames int, opts ...Option) (PlayerStats, []time.Duration) {
 	t.Helper()
-	const w, h = 96, 72
+	// Big enough that a quality-85 G5 frame is ~2 KB, several datagrams:
+	// the link below only congests under multi-datagram frames. (96x72
+	// carried that many bytes before turbo packed coefficients in bits.)
+	const w, h = 160, 120
 	player, err := NewPlayer(PlayerConfig{Workload: "G5", Width: w, Height: h, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
