@@ -104,9 +104,9 @@ func runFleet(addr string, width, height, maxSessions int, idle, statsEvery time
 				if snap.EgressSyscalls > 0 {
 					perSyscall = float64(snap.EgressDatagrams) / float64(snap.EgressSyscalls)
 				}
-				fmt.Printf("fleet: sessions=%d peak=%d frames=%d fps=%.1f forecast_fps=%.1f reject_rate=%.3f gate_wait_rate=%.3f non_protocol=%d egress_dgrams=%d egress_per_syscall=%.1f egress_drops=%d\n",
+				fmt.Printf("fleet: sessions=%d peak=%d frames=%d fps=%.1f forecast_fps=%.1f reject_rate=%.3f gate_wait_rate=%.3f gate_queued=%d non_protocol=%d egress_dgrams=%d egress_per_syscall=%.1f egress_drops=%d\n",
 					snap.Sessions, col.PeakSessions(), tot.Frames, snap.FrameRate, snap.ForecastFrameRate,
-					col.RejectRate(), col.GateWaitRate(), tot.NonProtocol,
+					col.RejectRate(), col.GateWaitRate(), snap.GateQueued, tot.NonProtocol,
 					snap.EgressDatagrams, perSyscall, snap.EgressDrops)
 			}
 		}()

@@ -51,7 +51,8 @@ type FleetConfig struct {
 
 // FleetStats is a point-in-time snapshot of a Fleet.
 // Admitted/Rejected/NonProtocol/Frames and the gate counters are
-// cumulative; Sessions, TimersArmed, and GateActive are instantaneous.
+// cumulative; Sessions, TimersArmed, GateActive, and GateQueued are
+// instantaneous.
 // It is an alias of the internal/metrics definition so fleet snapshots
 // feed the metrics collectors directly.
 type FleetStats = metrics.FleetStats
@@ -72,7 +73,7 @@ type Fleet struct {
 }
 
 // NewFleet builds a fleet manager serving cfg's resolution, tuned by
-// opts (quality, parallelism, diff threshold). Per-session rendering is
+// opts (quality, parallelism, adaptive quality). Per-session rendering is
 // serial by default — with many tenants, the parallelism worth having
 // is across sessions, which the GPU gate provides.
 func NewFleet(cfg FleetConfig, opts ...Option) (*Fleet, error) {
@@ -165,6 +166,7 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 		GateEntries:     s.Gate.Entries,
 		GateWaits:       s.Gate.Waits,
 		GateActive:      s.Gate.Active,
+		GateQueued:      s.Gate.Queued,
 		EgressDatagrams: s.EgressDatagrams,
 		EgressSyscalls:  s.EgressSyscalls,
 		EgressBatches:   s.EgressBatches,

@@ -204,7 +204,7 @@ func (l *localResolver) render(gpu *gles.GPU, cmds []gles.Command) ([]byte, erro
 	return out, nil
 }
 
-func TestEndToEndMultiServerConsistency(t *testing.T) {
+func TestEndToEndMultiDeviceConsistency(t *testing.T) {
 	// Three servers; frames are dispatched by Eq. 4 while state
 	// replicates everywhere. Afterwards every server's GL state
 	// fingerprint must agree (§VI-B), and the client must have used

@@ -154,7 +154,7 @@ func TestDownlinkServeZeroAllocSteadyState(t *testing.T) {
 		if err := conn.Send(reply); err != nil {
 			t.Fatal(err)
 		}
-		releaseMsg(conn, got)
+		ReleaseMsg(conn, got)
 
 		// Drain the send window so pending slots recycle.
 		ackAllSent(conn, ackPkt)

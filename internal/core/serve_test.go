@@ -4,10 +4,73 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gbooster/gbooster/internal/cmdcache"
+	"github.com/gbooster/gbooster/internal/glwire"
+	"github.com/gbooster/gbooster/internal/lz4"
 	"github.com/gbooster/gbooster/internal/netsim"
 	"github.com/gbooster/gbooster/internal/rudp"
 	"github.com/gbooster/gbooster/internal/turbo"
+	"github.com/gbooster/gbooster/internal/workload"
 )
+
+// batchBuilder serializes one game frame at a time into MsgFrameBatch
+// messages, with the client-side encoder, cache and compressor a
+// server's mirrors expect.
+type batchBuilder struct {
+	game  *workload.Game
+	enc   *glwire.Encoder
+	cache *cmdcache.Cache
+	comp  *lz4.Compressor
+	seq   uint64
+
+	// Pooled scratch, exercising the same zero-allocation encode path
+	// the real client uses.
+	encBuf   []byte
+	splitBuf [][]byte
+	wireBuf  []byte
+	msgBuf   []byte
+}
+
+func newBatchBuilder(t testing.TB, id string, seed uint64) *batchBuilder {
+	t.Helper()
+	prof, err := workload.ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	game := workload.NewGame(prof, seed)
+	return &batchBuilder{
+		game:  game,
+		enc:   glwire.NewEncoder(game.Arrays()),
+		cache: cmdcache.New(0),
+		comp:  lz4.NewCompressor(),
+	}
+}
+
+func (b *batchBuilder) next(t testing.TB) []byte {
+	t.Helper()
+	buf, err := b.enc.EncodeAll(b.encBuf[:0], b.game.NextFrame().Commands)
+	b.encBuf = buf
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := glwire.AppendSplitRecords(b.splitBuf[:0], buf)
+	b.splitBuf = recs
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, _, err := b.cache.EncodeAll(b.wireBuf[:0], recs)
+	b.wireBuf = wire
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := b.comp.Compress(appendMsgHeader(b.msgBuf[:0], MsgFrameBatch, b.seq), wire)
+	b.msgBuf = msg
+	b.seq++
+	// Callers may queue several messages before sending, so hand out an
+	// owned copy — the scratch is overwritten by the next frame, exactly
+	// like rudp copying a send into its retransmit window.
+	return append([]byte(nil), msg...)
+}
 
 // servePipe starts srv.ServeWithTimeout(idle) on an in-memory
 // connection pair and returns the client end plus a channel carrying

@@ -78,8 +78,8 @@ type ServerStats struct {
 
 // Server is one service device: it replays command streams on its GPU
 // and returns turbo-encoded frames (§IV-C). A server handles one client
-// connection; the paper's multi-user mode runs one Server per client in
-// FCFS order.
+// connection; a multi-tenant service device runs one Server per session
+// and orders their renders through a shared dispatch.Gate.
 type Server struct {
 	cfg   ServerConfig
 	cache *cmdcache.Cache
@@ -197,15 +197,16 @@ func (s *Server) serve(conn *rudp.Conn, idle time.Duration) error {
 				return fmt.Errorf("core: server send: %w", err)
 			}
 		}
-		releaseMsg(conn, msg)
+		ReleaseMsg(conn, msg)
 	}
 }
 
-// releaseMsg recycles a delivered message buffer once the serve loop is
-// done with it. Bootstrap payloads are exempt: session.Decode's
+// ReleaseMsg recycles a delivered message buffer once a serve loop is
+// done with it — Server.serve and the fleet's per-session loop both end
+// each message here. Bootstrap payloads are exempt: session.Decode's
 // checkpoint aliases the message bytes, and the restored cache and
 // dictionary may keep referencing them after Handle returns.
-func releaseMsg(conn *rudp.Conn, msg []byte) {
+func ReleaseMsg(conn *rudp.Conn, msg []byte) {
 	if len(msg) > 0 && msg[0] == MsgBootstrap {
 		return
 	}

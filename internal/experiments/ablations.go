@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/gbooster/gbooster/internal/cmdcache"
 	"github.com/gbooster/gbooster/internal/core"
 	"github.com/gbooster/gbooster/internal/device"
+	"github.com/gbooster/gbooster/internal/dispatch"
 	"github.com/gbooster/gbooster/internal/gles"
 	"github.com/gbooster/gbooster/internal/glwire"
 	"github.com/gbooster/gbooster/internal/ifswitch"
@@ -207,70 +211,126 @@ func Ablations(seed uint64) (AblationResult, string, error) {
 }
 
 // MultiUserResult is the §VIII future-work study: FCFS vs priority
-// scheduling on a shared service device.
+// admission at a shared service device's GPU.
 type MultiUserResult struct {
-	// ChessServedBeforeShooter counts backlogged low-priority requests
-	// the GPU executed before one time-critical request, per policy.
+	// FCFSServedFirst and PriorityServedFirst count the background
+	// (chess) frames the GPU rendered while one time-critical (shooter)
+	// request waited for it, per admission policy.
 	FCFSServedFirst     int64
 	PriorityServedFirst int64
 }
 
-// MultiUser measures how many queued chess-game requests execute ahead
-// of a fast-paced shooter's request under each scheduling policy.
+// The §VIII scene: multiUserChess background sessions share one GPU
+// with a shooter, each bringing multiUserBacklog frames — several times
+// the rounds of the gate the shooter can wait through.
+const (
+	multiUserChess   = 8
+	multiUserBacklog = 16
+)
+
+// MultiUser measures how many chess frames a shared GPU renders while a
+// fast-paced shooter's request waits, under FCFS admission (every
+// priority equal) and under priority admission (the shooter ahead).
 func MultiUser(seed uint64) (MultiUserResult, string, error) {
-	run := func(policy core.SchedPolicy) (int64, error) {
-		m, err := core.NewMultiServer(core.ServerConfig{Width: 96, Height: 64}, policy)
-		if err != nil {
-			return 0, err
-		}
-		defer m.Close()
-		if err := m.AddClient("chess", 0); err != nil {
-			return 0, err
-		}
-		if err := m.AddClient("shooter", 10); err != nil {
-			return 0, err
-		}
-		chessMsgs, err := buildBatches("G4", seed, 120)
-		if err != nil {
-			return 0, err
-		}
-		shooterMsgs, err := buildBatches("G2", seed+1, 1)
-		if err != nil {
-			return 0, err
-		}
-		var done []<-chan error
-		for _, msg := range chessMsgs {
-			ch, err := m.SubmitAsync("chess", msg)
-			if err != nil {
-				return 0, err
-			}
-			done = append(done, ch)
-		}
-		if _, err := m.Submit("shooter", shooterMsgs[0]); err != nil {
-			return 0, err
-		}
-		served := m.Stats().PerClient["chess"]
-		for _, ch := range done {
-			if err := <-ch; err != nil {
-				return 0, err
-			}
-		}
-		return served, nil
-	}
-	fcfs, err := run(core.SchedFCFS)
+	fcfs, err := sharedGPUWait(seed, 0)
 	if err != nil {
 		return MultiUserResult{}, "", err
 	}
-	prio, err := run(core.SchedPriority)
+	prio, err := sharedGPUWait(seed, 10)
 	if err != nil {
 		return MultiUserResult{}, "", err
 	}
 	res := MultiUserResult{FCFSServedFirst: fcfs, PriorityServedFirst: prio}
 	var b strings.Builder
 	b.WriteString("Multiple users on one service device (§VIII future work, implemented)\n")
-	fmt.Fprintf(&b, "  chess requests executed before the shooter's: FCFS %d, priority %d\n", fcfs, prio)
-	b.WriteString("  Priority scheduling lets the time-critical game overtake the backlog.\n")
+	fmt.Fprintf(&b, "  %d chess sessions + 1 shooter, one goroutine each, through one width-1 GPU gate\n", multiUserChess)
+	fmt.Fprintf(&b, "  chess frames rendered while the shooter's request waited: FCFS %d, priority %d\n", fcfs, prio)
+	b.WriteString("  FCFS makes the shooter wait one frame per competing session; priority only for the frame already rendering.\n")
 	return res, b.String(), nil
+}
+
+// sharedGPUWait runs the fleet's per-session shape — one core.Server
+// and one goroutine per session doing Enter → Handle → Leave per
+// message, as fleet.Manager.runSession does — through one width-1
+// dispatch.Gate: one GPU, non-preemptive (§VI-A). Once every chess
+// session but the one rendering is queued, the shooter enters at
+// shooterPriority; the result is the chess frames rendered between its
+// Enter and its admission, the frame already rendering included.
+func sharedGPUWait(seed uint64, shooterPriority int) (int64, error) {
+	const shooter = multiUserChess // session index; chess are 0..7
+	var backlogs [multiUserChess + 1][][]byte
+	for i := range backlogs {
+		id, n := "G4", multiUserBacklog
+		if i == shooter {
+			id, n = "G2", 1
+		}
+		var err error
+		if backlogs[i], err = buildBatches(id, seed+uint64(i), n); err != nil {
+			return 0, err
+		}
+	}
+	gate := dispatch.NewGate(1)
+	stop := make(chan struct{})
+	var (
+		mu    sync.Mutex
+		order []int // session indices, in the order the gate admitted them
+		busy  bool  // the last one admitted is still rendering
+	)
+	serve := func(id, priority int) error {
+		srv, err := core.NewServer(core.ServerConfig{Width: 96, Height: 64})
+		if err != nil {
+			return err
+		}
+		for _, msg := range backlogs[id] {
+			select {
+			case <-stop:
+				return nil
+			default:
+			}
+			if !gate.Enter(stop, priority) {
+				return nil
+			}
+			mu.Lock()
+			order, busy = append(order, id), true
+			mu.Unlock()
+			_, err := srv.Handle(msg)
+			mu.Lock()
+			busy = false
+			mu.Unlock()
+			gate.Leave()
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make(chan error, multiUserChess)
+	for id := range multiUserChess {
+		go func() { errs <- serve(id, 0) }()
+	}
+	// Until every chess session but the one rendering is queued, or one
+	// of them has stopped and the queue can never fill.
+	for gate.Stats().Queued < multiUserChess-1 && len(errs) == 0 {
+		runtime.Gosched()
+	}
+	mu.Lock()
+	mark, rendering := len(order), busy
+	mu.Unlock()
+	err := serve(shooter, shooterPriority)
+	close(stop)
+	for range multiUserChess {
+		if e := <-errs; err == nil {
+			err = e
+		}
+	}
+	if err != nil {
+		return 0, err
+	}
+	waited := int64(slices.Index(order[mark:], shooter))
+	if rendering {
+		waited++
+	}
+	return waited, nil
 }
 
 // buildBatches serializes n frames of a workload into frame-batch

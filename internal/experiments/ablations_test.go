@@ -52,8 +52,14 @@ func TestMultiUserExperiment(t *testing.T) {
 	if out == "" {
 		t.Fatal("no rendering")
 	}
-	if res.PriorityServedFirst >= res.FCFSServedFirst {
-		t.Fatalf("priority served %d chess requests first, FCFS %d: no scheduling benefit",
-			res.PriorityServedFirst, res.FCFSServedFirst)
+	// FCFS: the shooter waits one frame per competing chess session
+	// (the frame already rendering, then the 7 queued ahead of it; 7 if
+	// it slipped in before the leaver re-queued). Priority: at most the
+	// frame already rendering — the GPU is non-preemptive.
+	if res.FCFSServedFirst < 7 {
+		t.Fatalf("FCFS rendered %d chess frames while the shooter waited, want >= 7", res.FCFSServedFirst)
+	}
+	if res.PriorityServedFirst > 1 {
+		t.Fatalf("priority rendered %d chess frames while the shooter waited, want <= 1", res.PriorityServedFirst)
 	}
 }

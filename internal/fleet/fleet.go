@@ -521,7 +521,7 @@ func (m *Manager) runSession(s *session) {
 			}
 			s.srv = srv
 		}
-		if !m.gate.Enter(m.done) {
+		if !m.gate.Enter(m.done, 0) {
 			return // manager shutting down while queued for the GPU
 		}
 		reply, err := s.srv.Handle(msg)
@@ -540,11 +540,7 @@ func (m *Manager) runSession(s *session) {
 				return
 			}
 		}
-		// Recycle the delivered message; bootstrap payloads stay out of
-		// the pool because the restored session state aliases them.
-		if len(msg) > 0 && msg[0] != core.MsgBootstrap {
-			s.conn.Release(msg)
-		}
+		core.ReleaseMsg(s.conn, msg)
 	}
 }
 

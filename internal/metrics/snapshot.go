@@ -132,7 +132,8 @@ type HandoffStats struct {
 
 // FleetStats is a point-in-time snapshot of a multi-tenant fleet.
 // Admitted/Rejected/NonProtocol/Frames and the gate counters are
-// cumulative; Sessions, TimersArmed, and GateActive are instantaneous.
+// cumulative; Sessions, TimersArmed, GateActive, and GateQueued are
+// instantaneous.
 type FleetStats struct {
 	// Sessions is the live session count; PeakSessions the high-water
 	// mark since the fleet started serving.
@@ -148,10 +149,10 @@ type FleetStats struct {
 	TimersArmed int
 	// GateWidth is the render-concurrency bound (0 = unlimited);
 	// GateEntries counts renders admitted through the gate, GateWaits
-	// how many of those had to queue, and GateActive how many hold a
-	// slot right now.
-	GateWidth                          int
-	GateEntries, GateWaits, GateActive int64
+	// how many of those had to queue, GateActive how many hold a slot
+	// right now, and GateQueued how many wait for one right now.
+	GateWidth                                      int
+	GateEntries, GateWaits, GateActive, GateQueued int64
 	// EgressDatagrams/EgressSyscalls are the coalescing egress writer's
 	// cumulative datagram output and the syscalls spent producing it —
 	// their ratio is the achieved datagrams-per-syscall. EgressBatches

@@ -30,6 +30,12 @@ go test -race -short ./internal/netsim/... ./internal/rudp/... ./internal/core/.
 # demux loop, timer wheel, admission path, and idle reaper all
 # interleave here.
 go test -race -short ./internal/fleet/... ./internal/dispatch/...
+# GPU gate admission order under the race detector, repeated: arrival
+# order within a priority, priority across them, direct hand-off, and a
+# cancel racing the hand-off never losing or duplicating a slot. Then
+# the §VIII experiment, which is goroutines over one shared gate.
+gate 'TestGate' -race -count=20 ./internal/dispatch/
+gate 'TestMultiUserExperiment' -race -count=5 ./internal/experiments/
 # Peer-validation regression gates: the stray-peer datagram drop in the
 # transport read loop, the garbage-first-datagram accept check, and the
 # absolute accept deadline.
