@@ -275,6 +275,9 @@ func sharedGPUWait(seed uint64, shooterPriority int) (int64, error) {
 		mu    sync.Mutex
 		order []int // session indices, in the order the gate admitted them
 		busy  bool  // the last one admitted is still rendering
+		// leaving is held across every gate.Leave. Holding it freezes
+		// admissions, so the shooter's arrival can be timed exactly.
+		leaving sync.Mutex
 	)
 	serve := func(id, priority int) error {
 		srv, err := core.NewServer(core.ServerConfig{Width: 96, Height: 64})
@@ -297,7 +300,9 @@ func sharedGPUWait(seed uint64, shooterPriority int) (int64, error) {
 			mu.Lock()
 			busy = false
 			mu.Unlock()
+			leaving.Lock()
 			gate.Leave()
+			leaving.Unlock()
 			if err != nil {
 				return err
 			}
@@ -313,10 +318,26 @@ func sharedGPUWait(seed uint64, shooterPriority int) (int64, error) {
 	for gate.Stats().Queued < multiUserChess-1 && len(errs) == 0 {
 		runtime.Gosched()
 	}
+	// With admissions frozen the gate's queue changes only by the
+	// shooter joining it, so what is read here is exactly what the
+	// shooter finds when it arrives: read it, let the shooter enter,
+	// and thaw once it is queued (or admitted, or failed).
+	leaving.Lock()
 	mu.Lock()
 	mark, rendering := len(order), busy
 	mu.Unlock()
-	err := serve(shooter, shooterPriority)
+	queued := gate.Stats().Queued
+	shot := make(chan error, 1)
+	go func() { shot <- serve(shooter, shooterPriority) }()
+	for arrived := false; !arrived; {
+		mu.Lock()
+		arrived = len(order) > mark
+		mu.Unlock()
+		arrived = arrived || gate.Stats().Queued > queued || len(shot) > 0
+		runtime.Gosched()
+	}
+	leaving.Unlock()
+	err := <-shot
 	close(stop)
 	for range multiUserChess {
 		if e := <-errs; err == nil {

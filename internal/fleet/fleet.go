@@ -218,7 +218,7 @@ func New(pc net.PacketConn, cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:   cfg,
 		pc:    pc,
-		wheel: rudp.NewWheel(rudp.DefaultWheelTick, 2*cfg.MaxSessions),
+		wheel: rudp.NewWheel(2 * cfg.MaxSessions),
 		gate:  dispatch.NewGate(cfg.GateWidth),
 		done:  make(chan struct{}),
 	}

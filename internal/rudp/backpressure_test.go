@@ -32,7 +32,7 @@ func TestInjectNeverBlocksOnStalledConsumer(t *testing.T) {
 	pcB, pcA := netsim.NewPair(netsim.LinkConfig{}, 1)
 	defer pcA.Close()
 	defer pcB.Close()
-	wheel := NewWheel(0, 8)
+	wheel := NewWheel(8)
 	defer wheel.Close()
 	opts := DefaultOptions()
 	opts.RecvQueue = 8

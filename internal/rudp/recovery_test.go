@@ -377,6 +377,10 @@ func TestFastRetransmitRecoversLoss(t *testing.T) {
 	if st.FastResent+st.TimeoutResent != st.DataResent {
 		t.Fatalf("resend split %d+%d != total %d", st.FastResent, st.TimeoutResent, st.DataResent)
 	}
+	if sum := st.SackResent + st.PartialAckResent + st.DupAckResent; sum != st.FastResent {
+		t.Fatalf("fast paths sack %d + partial %d + dup %d = %d != FastResent %d",
+			st.SackResent, st.PartialAckResent, st.DupAckResent, sum, st.FastResent)
+	}
 }
 
 func TestStatsNotCountedOnFailedWrite(t *testing.T) {

@@ -69,16 +69,3 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 		}
 	}
 }
-
-func TestBackoffDisabledInFixedMode(t *testing.T) {
-	c := estConn(Options{RTO: 20 * time.Millisecond, FixedRTO: true})
-	for rtx := 0; rtx < 8; rtx++ {
-		if got := c.backoffRTOLocked(rtx); got != 20*time.Millisecond {
-			t.Fatalf("fixed-RTO backoff(rtx=%d) = %v", rtx, got)
-		}
-	}
-	// Fixed mode also ignores estimator updates for the effective RTO.
-	if got := c.currentRTOLocked(); got != 20*time.Millisecond {
-		t.Fatalf("fixed currentRTO = %v", got)
-	}
-}

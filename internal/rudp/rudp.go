@@ -35,20 +35,21 @@
 //   - ACKs carry a 64-bit selective-acknowledgment bitmap of the
 //     out-of-order datagrams buffered beyond the cumulative ACK.
 //     SACKed data is never retransmitted, and any datagram passed by a
-//     SACKed later one for more than a smoothed RTT (a RACK-style
-//     reordering guard) is repaired immediately — every hole in the
-//     window recovers in one round trip rather than one hole per RTT.
+//     SACKed later one for more than SRTT + 2·RTTVAR (a RACK-style
+//     reordering guard) is repaired immediately, oldest hole first —
+//     every hole in the window recovers in one round trip rather than
+//     one hole per RTT.
 //   - During a recovery episode, partial cumulative ACKs (RFC 6582,
 //     NewReno) pinpoint the next hole, which is resent without waiting
 //     for another dup-ACK burst or timeout.
 //
-// Setting Options.FixedRTO reverts to the pre-adaptive transport — a
-// fixed per-datagram timer, no backoff, no fast retransmit, no SACK
-// processing — as the A/B baseline for the loss soak benchmarks.
-//
-// Conn runs over any net.PacketConn: real UDP sockets in the demo
-// binaries, or netsim's loss/delay/jitter/bandwidth emulator
-// (netsim.Hub) in tests and harnesses.
+// Every Conn is driven the same way: datagrams arrive through Inject and
+// the retransmission timer runs on a Wheel, both stamped by the wheel's
+// clock. New adds a read goroutine and a private wheel; NewDemuxed
+// leaves both to a demultiplexer that serves many conns. Conn runs over
+// any net.PacketConn: real UDP sockets in the demo binaries, or netsim's
+// loss/delay/jitter/bandwidth emulator (netsim.Hub) in tests and
+// harnesses.
 package rudp
 
 import (
@@ -70,6 +71,10 @@ const (
 	// dupAckThreshold is the number of duplicate cumulative ACKs that
 	// triggers a fast retransmit (TCP's classic threshold).
 	dupAckThreshold = 3
+
+	// sackReach is how many datagrams past the cumulative ACK the SACK
+	// bitmap covers.
+	sackReach = 64
 )
 
 // Errors.
@@ -82,16 +87,12 @@ var (
 // Options tunes a Conn.
 type Options struct {
 	// RTO is the initial retransmission timeout, used until the first
-	// RTT sample arrives (and permanently when FixedRTO is set).
+	// RTT sample arrives.
 	RTO time.Duration
 	// MinRTO / MaxRTO clamp the adaptive timeout. MaxRTO also caps the
 	// exponential backoff.
 	MinRTO time.Duration
 	MaxRTO time.Duration
-	// FixedRTO disables RTT estimation, exponential backoff, and fast
-	// retransmit, retransmitting purely on the fixed RTO timer. It
-	// exists as the baseline for transport A/B tests.
-	FixedRTO bool
 	// MaxPayload bounds one datagram's payload.
 	MaxPayload int
 	// Window bounds unacknowledged datagrams in flight.
@@ -163,8 +164,16 @@ type Stats struct {
 	Duplicates int64
 	OutOfOrder int64
 	// FastResent / TimeoutResent split DataResent by trigger.
+	// FastResent is the sum of the three fast paths below it.
 	FastResent    int64
 	TimeoutResent int64
+	// SackResent counts holes repaired because a SACKed later datagram
+	// passed them; PartialAckResent the next hole named by a partial ACK
+	// during a recovery episode; DupAckResent the head hole resent after
+	// three duplicate ACKs.
+	SackResent       int64
+	PartialAckResent int64
+	DupAckResent     int64
 	// FramingErrors counts corrupt length prefixes that forced a stream
 	// resync on the receive side.
 	FramingErrors int64
@@ -174,9 +183,10 @@ type Stats struct {
 	// it came from the peer and could corrupt ACK/sequence state.
 	StrayPackets int64
 	// RecvQueueDrops counts data datagrams refused because the Recv
-	// queue was full (Options.RecvQueue). Refused datagrams are not
-	// ACKed, so the peer retransmits them — flow control pushing back
-	// on a sender outpacing the application, not data loss.
+	// queue was full (Options.RecvQueue) or the out-of-order buffer
+	// held Window + 64 datagrams. Refused datagrams are not ACKed, so
+	// the peer retransmits them — flow control pushing back on a sender
+	// outpacing the application, not data loss.
 	RecvQueueDrops int64
 
 	// Gauges sampled at Stats() time.
@@ -235,9 +245,11 @@ func appendPacket(dst []byte, ptype byte, seq, ts uint32, payload []byte) []byte
 }
 
 // rsPkt is one retransmission staged under mu: the complete datagram
-// bytes (pooled) plus the stats accounting to apply if the write lands.
+// bytes (pooled) plus the Stats counter its trigger bumps if the write
+// lands.
 type rsPkt struct {
-	buf *[]byte
+	buf   *[]byte
+	cause *int64
 }
 
 // IsProtocolDatagram reports whether b looks like a rudp wire datagram:
@@ -260,12 +272,15 @@ type Conn struct {
 	// readLoop, so the comparison fall-back allocates nothing per
 	// datagram on the expected side.
 	peerStr string
-	// ownsSocket: Close closes pc. False in demuxed mode, where pc is a
-	// listener shared by many connections and owned by the demultiplexer.
-	ownsSocket bool
-	// wheel, when non-nil, drives this connection's retransmission
-	// timer instead of a dedicated retransmitLoop goroutine.
+	// owned: Close closes pc and wheel (New). False in demuxed mode,
+	// where both are shared by many connections and owned by the
+	// demultiplexer.
+	owned bool
+	// wheel drives this connection's retransmission timer.
 	wheel *Wheel
+	// now is the connection's clock, its wheel's: every send stamp,
+	// RTT sample and timer deadline reads it.
+	now func() time.Time
 
 	// sendMu serializes whole-message framing: fragments of one Send
 	// must occupy a contiguous run of the sequence space or the
@@ -282,7 +297,8 @@ type Conn struct {
 	pendFree []*pending // recycled pendings, buffers kept (guarded by mu)
 	sendSlot *sync.Cond // signalled when window space frees
 
-	// RFC 6298 estimator state.
+	// RFC 6298 estimator state. rto starts at Options.RTO and tracks
+	// the estimator once the first sample arrives.
 	srtt    time.Duration
 	rttvar  time.Duration
 	rto     time.Duration
@@ -304,8 +320,7 @@ type Conn struct {
 	// already buffered at the receiver — are never individually timed
 	// out, so one lost datagram can't trigger a whole-window resend.
 	// Zero means unarmed. rtxBackoff is the live backoff exponent,
-	// reset on ACK progress. (The FixedRTO baseline instead keeps the
-	// legacy per-datagram timers.)
+	// reset on ACK progress.
 	timerDeadline time.Time
 	rtxBackoff    int
 
@@ -358,14 +373,17 @@ type Conn struct {
 	closeErr  error
 }
 
-// New wraps pc into a reliable message channel to peer and starts the
-// receive and retransmit loops. Close must be called to release them.
+// New wraps pc into a reliable message channel to peer. The connection
+// owns pc and a private one-slot Wheel: a readLoop goroutine blocks in
+// ReadFrom and Injects each datagram from peer, and the wheel's
+// goroutine drives the retransmission timer. Close must be called to
+// release both; it closes pc, which is what unblocks the read, so pc
+// must carry no read deadline.
 func New(pc net.PacketConn, peer net.Addr, opts Options) *Conn {
-	c := newConn(pc, peer, opts)
-	c.ownsSocket = true
-	c.wg.Add(2)
+	c := NewDemuxed(pc, peer, opts, NewWheel(1))
+	c.owned = true
+	c.wg.Add(1)
 	go c.readLoop()
-	go c.retransmitLoop()
 	return c
 }
 
@@ -373,44 +391,40 @@ func New(pc net.PacketConn, peer net.Addr, opts Options) *Conn {
 // listener: it runs NO goroutines of its own. Inbound datagrams arrive
 // via Inject from the demultiplexer that owns pc (which MUST validate
 // the source address before injecting — Inject trusts its caller), and
-// the retransmission timer is driven by wheel. Close releases the
-// connection's wheel slot but leaves pc open: the listener is shared
-// by every session demuxed onto it.
+// the retransmission timer is driven by wheel, whose clock the
+// connection reads. Close releases the connection's wheel slot but
+// leaves pc and wheel running: both are shared by every session
+// demuxed onto them.
 func NewDemuxed(pc net.PacketConn, peer net.Addr, opts Options, wheel *Wheel) *Conn {
-	c := newConn(pc, peer, opts)
-	c.wheel = wheel
-	return c
-}
-
-func newConn(pc net.PacketConn, peer net.Addr, opts Options) *Conn {
 	c := &Conn{
-		pc:      pc,
-		peer:    peer,
-		peerStr: peer.String(),
-		opts:    opts.withDefaults(),
+		pc:         pc,
+		peer:       peer,
+		peerStr:    peer.String(),
+		opts:       opts.withDefaults(),
+		wheel:      wheel,
+		now:        wheel.now,
 		unacked:    make(map[uint32]*pending),
 		recvBuf:    make(map[uint32][]byte),
-		epoch:      time.Now(),
 		recvNotify: make(chan struct{}, 1),
 		done:       make(chan struct{}),
 	}
+	c.epoch = c.now()
 	c.rto = c.opts.RTO
 	c.sendSlot = sync.NewCond(&c.mu)
 	return c
 }
 
 // Close shuts the connection down and waits for its goroutines. A
-// connection that owns its socket (New) closes the underlying
-// PacketConn too; a demuxed connection leaves the shared listener open
-// and deregisters from its timer wheel instead.
+// connection from New closes its PacketConn and its private wheel too;
+// a demuxed connection leaves the shared listener and wheel running
+// and only gives up its wheel slot.
 func (c *Conn) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.done)
-		if c.ownsSocket {
+		c.wheel.remove(c)
+		if c.owned {
 			c.closeErr = c.pc.Close()
-		}
-		if c.wheel != nil {
-			c.wheel.remove(c)
+			c.wheel.Close()
 		}
 		c.mu.Lock()
 		c.sendSlot.Broadcast()
@@ -425,21 +439,14 @@ func (c *Conn) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stats
+	st.FastResent = st.SackResent + st.PartialAckResent + st.DupAckResent
 	st.SRTT = c.srtt
 	st.RTTVar = c.rttvar
-	st.RTO = c.currentRTOLocked()
+	st.RTO = c.rto
 	st.MinSRTT = c.minSRTT
 	st.WindowOccupancy = len(c.unacked)
 	st.WindowLimit = c.opts.Window
 	return st
-}
-
-// currentRTOLocked returns the effective base RTO. Caller holds mu.
-func (c *Conn) currentRTOLocked() time.Duration {
-	if c.opts.FixedRTO || !c.rttInit {
-		return c.opts.RTO
-	}
-	return c.rto
 }
 
 // Send frames msg (uvarint length prefix) and ships it reliably. It
@@ -503,7 +510,7 @@ func (c *Conn) sendDatagram(payload []byte) error {
 	}
 	seq := c.sendSeq
 	c.sendSeq++
-	now := time.Now()
+	now := c.now()
 	// The transport's own copy of the payload: rudp retains it only
 	// while the datagram sits in the retransmit window, and the buffer
 	// is recycled once the ACK covers it.
@@ -517,13 +524,13 @@ func (c *Conn) sendDatagram(payload []byte) error {
 		armed = c.timerDeadline
 	}
 	c.mu.Unlock()
-	if c.wheel != nil && !armed.IsZero() {
+	if !armed.IsZero() {
 		c.wheel.schedule(c, armed)
 	}
 
 	// sendDatagram runs only under sendMu (from Send), so the packet
 	// scratch is race-free without holding mu across the socket write.
-	c.sendPkt = appendPacket(c.sendPkt[:0], typeData, seq, c.nowTS(), payload)
+	c.sendPkt = appendPacket(c.sendPkt[:0], typeData, seq, c.stamp(now), payload)
 	if _, err := c.pc.WriteTo(c.sendPkt, c.peer); err != nil && !c.isClosed() {
 		return fmt.Errorf("rudp: write: %w", err)
 	}
@@ -534,10 +541,11 @@ func (c *Conn) sendDatagram(payload []byte) error {
 	return nil
 }
 
-// nowTS returns the connection's 32-bit microsecond clock. Wraparound
-// (~71 min) is harmless: samples are uint32 differences.
-func (c *Conn) nowTS() uint32 {
-	return uint32(time.Since(c.epoch) / time.Microsecond)
+// stamp converts an instant on the connection's clock to the 32-bit
+// microsecond timestamp datagrams carry. Wraparound (~71 min) is
+// harmless: samples are uint32 differences.
+func (c *Conn) stamp(t time.Time) uint32 {
+	return uint32(t.Sub(c.epoch) / time.Microsecond)
 }
 
 // writePacket builds and writes one datagram through the shared buffer
@@ -627,16 +635,14 @@ func (c *Conn) popRecvLocked() ([]byte, bool) {
 	return msg, true
 }
 
+// readLoop is New's demultiplexer for one peer: it blocks in ReadFrom
+// until Close closes the socket.
 func (c *Conn) readLoop() {
 	defer c.wg.Done()
 	buf := make([]byte, 65536)
-	for !c.isClosed() {
-		_ = c.pc.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	for {
 		n, from, err := c.pc.ReadFrom(buf)
 		if err != nil {
-			if isTimeout(err) {
-				continue
-			}
 			return // closed or fatal
 		}
 		// The socket is unconnected: any host can land a datagram on
@@ -729,10 +735,19 @@ func (c *Conn) handleData(seq, ts uint32, payload []byte) {
 	default:
 		if _, dup := c.recvBuf[seq]; dup {
 			c.stats.Duplicates++
-		} else {
-			c.recvBuf[seq] = append([]byte(nil), payload...)
-			c.stats.OutOfOrder++
+			break
 		}
+		// An honest peer with the same Window has at most Window
+		// datagrams un-SACKed plus sackReach SACKed ones still buffered
+		// here; anything beyond that is refused like a full Recv queue
+		// instead of buffered without bound.
+		if len(c.recvBuf) >= c.opts.Window+sackReach {
+			c.stats.RecvQueueDrops++
+			c.mu.Unlock()
+			return
+		}
+		c.recvBuf[seq] = append([]byte(nil), payload...)
+		c.stats.OutOfOrder++
 	}
 	ackSeq := c.recvNext // cumulative: everything below is delivered
 	// SACK bitmap: bit i set means datagram ackSeq+1+i is held in the
@@ -740,12 +755,16 @@ func (c *Conn) handleData(seq, ts uint32, payload []byte) {
 	// data the receiver already has and to repair every hole in the
 	// window at once instead of one per round trip.
 	var sack uint64
-	for i := uint32(0); i < 64; i++ {
+	for i := uint32(0); i < sackReach; i++ {
 		if _, ok := c.recvBuf[ackSeq+1+i]; ok {
 			sack |= 1 << i
 		}
 	}
 	queued := c.extractMessagesLocked()
+	// Count the ACK while the messages it covers become visible, so a
+	// Recv that returns them also sees it in Stats; a failed write
+	// takes the count back below.
+	c.stats.AcksSent++
 	c.mu.Unlock()
 	if queued > 0 {
 		// Non-blocking wake of a parked Recv; a set flag already covers
@@ -763,9 +782,9 @@ func (c *Conn) handleData(seq, ts uint32, payload []byte) {
 	}
 	// The ACK echoes the triggering datagram's timestamp so the sender
 	// can take an unambiguous RTT sample (retransmitted or not).
-	if c.writePacket(typeAck, ackSeq, ts, sackPayload) == nil {
+	if c.writePacket(typeAck, ackSeq, ts, sackPayload) != nil {
 		c.mu.Lock()
-		c.stats.AcksSent++
+		c.stats.AcksSent--
 		c.mu.Unlock()
 	}
 }
@@ -849,7 +868,7 @@ func (c *Conn) Release(msg []byte) {
 }
 
 func (c *Conn) handleAck(ackSeq, echo uint32, sack uint64) {
-	now := time.Now()
+	now := c.now()
 	// Retransmissions are staged as complete pooled datagrams while mu
 	// is held, then written after it is released: a packet built under
 	// the lock can never alias a pending whose payload buffer another
@@ -883,7 +902,7 @@ func (c *Conn) handleAck(ackSeq, echo uint32, sack uint64) {
 	var sackTop uint32
 	haveSack := false
 	freedBySack := false
-	for i := uint32(0); i < 64; i++ {
+	for i := uint32(0); i < sackReach; i++ {
 		if sack&(1<<i) == 0 {
 			continue
 		}
@@ -896,19 +915,18 @@ func (c *Conn) handleAck(ackSeq, echo uint32, sack uint64) {
 		sackTop = s
 		haveSack = true
 	}
-	if haveSack && !c.opts.FixedRTO {
+	if haveSack {
 		// RACK-style repair: anything still unacked below the highest
 		// SACKed datagram was passed by later data. If it has also been
 		// outstanding for about an RTT (guarding against plain
 		// reordering), declare it lost and resend every such hole now —
 		// the whole window repairs in one round trip instead of one
-		// hole per RTT.
+		// hole per RTT. The walk goes in sequence order, so holes go
+		// out oldest first and the write order is reproducible.
 		guard := c.lossGuardLocked()
-		for seq, p := range c.unacked {
-			if seqBefore(seq, sackTop) && now.Sub(p.lastSent) >= guard {
-				p.lastSent = now
-				p.rtx++
-				resends = append(resends, c.stagePacketLocked(seq, p.payload))
+		for seq := ackSeq; seqBefore(seq, sackTop); seq++ {
+			if p, ok := c.unacked[seq]; ok && now.Sub(p.lastSent) >= guard {
+				resends = append(resends, c.resendLocked(seq, p, now, &c.stats.SackResent))
 			}
 		}
 		if len(resends) > 0 {
@@ -922,17 +940,15 @@ func (c *Conn) handleAck(ackSeq, echo uint32, sack uint64) {
 	}
 	switch {
 	case advanced:
-		if !c.opts.FixedRTO {
-			// Prefer the echoed timestamp: it names the exact datagram
-			// copy that triggered this ACK, so the sample excludes
-			// head-of-line blocking behind a loss and stays valid even
-			// for retransmissions (subsuming Karn's rule). The raw
-			// send-time fallback covers a zero echo.
-			if us := c.nowTS() - echo; echo != 0 && us < 1<<31 {
-				c.updateRTTLocked(time.Duration(us) * time.Microsecond)
-			} else if haveSample {
-				c.updateRTTLocked(sample)
-			}
+		// Prefer the echoed timestamp: it names the exact datagram copy
+		// that triggered this ACK, so the sample excludes head-of-line
+		// blocking behind a loss and stays valid even for
+		// retransmissions (subsuming Karn's rule). The raw send-time
+		// fallback covers a zero echo.
+		if us := c.stamp(now) - echo; echo != 0 && us < 1<<31 {
+			c.updateRTTLocked(time.Duration(us) * time.Microsecond)
+		} else if haveSample {
+			c.updateRTTLocked(sample)
 		}
 		c.lastAck = ackSeq
 		c.dupAcks = 0
@@ -942,7 +958,7 @@ func (c *Conn) handleAck(ackSeq, echo uint32, sack uint64) {
 			c.recoverValid = false
 		} else {
 			c.timerDeadline = now.Add(c.backoffRTOLocked(0))
-			if c.recoverValid && !c.opts.FixedRTO {
+			if c.recoverValid {
 				if !seqBefore(ackSeq, c.recoverSeq) {
 					// The episode's last outstanding datagram is acked;
 					// recovery is over.
@@ -953,15 +969,13 @@ func (c *Conn) handleAck(ackSeq, echo uint32, sack uint64) {
 					// — over an RTT old and almost certainly lost. (The
 					// time guard avoids double-sending a hole the SACK
 					// repair above just covered.)
-					p.lastSent = now
-					p.rtx++
-					resends = append(resends, c.stagePacketLocked(ackSeq, p.payload))
+					resends = append(resends, c.resendLocked(ackSeq, p, now, &c.stats.PartialAckResent))
 					c.timerDeadline = now.Add(c.backoffRTOLocked(0))
 				}
 			}
 		}
 		c.sendSlot.Broadcast()
-	case ackSeq == c.lastAck && len(c.unacked) > 0 && !c.opts.FixedRTO:
+	case ackSeq == c.lastAck && len(c.unacked) > 0:
 		c.dupAcks++
 		if c.dupAcks >= dupAckThreshold && (!c.fastRtxValid || c.fastRtxSeq != ackSeq) {
 			c.dupAcks = 0
@@ -970,9 +984,7 @@ func (c *Conn) handleAck(ackSeq, echo uint32, sack uint64) {
 			// The receiver is stalled on exactly ackSeq; resend it now
 			// instead of waiting out the RTO.
 			if p, ok := c.unacked[ackSeq]; ok && now.Sub(p.lastSent) >= c.lossGuardLocked()/2 {
-				p.lastSent = now
-				p.rtx++
-				resends = append(resends, c.stagePacketLocked(ackSeq, p.payload))
+				resends = append(resends, c.resendLocked(ackSeq, p, now, &c.stats.DupAckResent))
 				// Push the RTO timer out so it doesn't immediately
 				// re-retransmit the datagram we just resent, and open
 				// a recovery episode covering everything in flight.
@@ -984,54 +996,60 @@ func (c *Conn) handleAck(ackSeq, echo uint32, sack uint64) {
 	}
 	wheelDeadline := c.timerDeadline
 	c.mu.Unlock()
-	if c.wheel != nil && !wheelDeadline.IsZero() {
+	if !wheelDeadline.IsZero() {
 		// Earliest-wins scheduling makes a later deadline a no-op and a
 		// cleared timer need nothing: a stale wheel entry fires, sees no
 		// expired work, and drops out on its own.
 		c.wheel.schedule(c, wheelDeadline)
 	}
-
-	okCount, okBytes := c.writeStaged(resends)
-	if okCount > 0 {
-		c.mu.Lock()
-		c.stats.DataResent += okCount
-		c.stats.FastResent += okCount
-		c.stats.BytesSent += okBytes
-		c.mu.Unlock()
-	}
+	c.writeStaged(resends)
 }
 
-// stagePacketLocked copies one retransmission into a pooled datagram
-// buffer. Caller holds mu.
-func (c *Conn) stagePacketLocked(seq uint32, payload []byte) rsPkt {
+// resendLocked marks p (sequence seq) retransmitted at now and copies
+// it into a pooled datagram buffer; cause is the Stats counter to bump
+// once the write lands. Caller holds mu.
+func (c *Conn) resendLocked(seq uint32, p *pending, now time.Time, cause *int64) rsPkt {
+	p.lastSent = now
+	p.rtx++
 	bp := pktBufPool.Get().(*[]byte)
-	*bp = appendPacket((*bp)[:0], typeData, seq, c.nowTS(), payload)
-	return rsPkt{buf: bp}
+	*bp = appendPacket((*bp)[:0], typeData, seq, c.stamp(now), p.payload)
+	return rsPkt{buf: bp, cause: cause}
 }
 
 // writeStaged writes staged retransmissions to the socket (outside any
-// lock) and recycles their buffers, returning the datagrams and bytes
-// that landed.
-func (c *Conn) writeStaged(pkts []rsPkt) (okCount, okBytes int64) {
+// lock), recycles their buffers, and counts the ones that landed.
+func (c *Conn) writeStaged(pkts []rsPkt) {
+	if len(pkts) == 0 {
+		return
+	}
+	for i := range pkts {
+		r := &pkts[i]
+		if _, err := c.pc.WriteTo(*r.buf, c.peer); err != nil && !c.isClosed() {
+			r.cause = nil
+		}
+	}
+	c.mu.Lock()
 	for _, r := range pkts {
-		if _, err := c.pc.WriteTo(*r.buf, c.peer); err == nil || c.isClosed() {
-			okCount++
-			okBytes += int64(len(*r.buf))
+		if r.cause != nil {
+			*r.cause++
+			c.stats.DataResent++
+			c.stats.BytesSent += int64(len(*r.buf))
 		}
 		*r.buf = (*r.buf)[:0]
 		pktBufPool.Put(r.buf)
 	}
-	return okCount, okBytes
+	c.mu.Unlock()
 }
 
 // lossGuardLocked is the RACK-style reordering guard: a datagram
 // passed by a SACKed later datagram is declared lost only once it has
-// been outstanding for roughly a smoothed RTT plus jitter headroom,
-// so plain reordering doesn't trigger spurious repair. Caller holds mu.
+// been outstanding for SRTT + 2·RTTVAR, so plain reordering doesn't
+// trigger spurious repair. Before the first RTT sample it is half the
+// initial RTO. Caller holds mu.
 func (c *Conn) lossGuardLocked() time.Duration {
 	g := c.srtt + 2*c.rttvar
 	if g <= 0 {
-		g = c.currentRTOLocked() / 2
+		g = c.rto / 2
 	}
 	return g
 }
@@ -1067,13 +1085,10 @@ func (c *Conn) updateRTTLocked(sample time.Duration) {
 	c.rto = rto
 }
 
-// backoffRTOLocked returns the retransmission deadline interval for a
-// datagram already retransmitted rtx times. Caller holds mu.
+// backoffRTOLocked returns the retransmission deadline interval after
+// rtx consecutive timer expiries. Caller holds mu.
 func (c *Conn) backoffRTOLocked(rtx int) time.Duration {
-	rto := c.currentRTOLocked()
-	if c.opts.FixedRTO {
-		return rto // the legacy baseline never backs off
-	}
+	rto := c.rto
 	for i := 0; i < rtx && rto < c.opts.MaxRTO; i++ {
 		rto *= 2
 	}
@@ -1083,85 +1098,20 @@ func (c *Conn) backoffRTOLocked(rtx int) time.Duration {
 	return rto
 }
 
-// timerCheck is the wheel-driven equivalent of one retransmitLoop
-// iteration: run any expired retransmission work and report when the
-// wheel should next check this connection. A zero return means no timer
-// is armed (nothing in flight, or the connection closed) and the wheel
-// forgets the connection until a send re-arms it.
+// timerCheck is the wheel's callback: run any expired retransmission
+// work as of now and report when the wheel should next check this
+// connection. A zero return means no timer is armed (nothing in
+// flight, or the connection closed) and the wheel forgets the
+// connection until a send re-arms it.
 func (c *Conn) timerCheck(now time.Time) time.Time {
 	if c.isClosed() {
 		return time.Time{}
 	}
-	if c.opts.FixedRTO {
-		// Legacy baseline: per-datagram fixed timers have no single
-		// deadline to chase, so poll at RTO/4 while data is in flight,
-		// exactly like the ticker it replaces.
-		c.retransmitDueFixed()
-		c.mu.Lock()
-		inflight := len(c.unacked) > 0
-		c.mu.Unlock()
-		if !inflight {
-			return time.Time{}
-		}
-		return now.Add(c.opts.RTO / 4)
-	}
-	c.retransmitOldestExpired()
+	c.retransmitOldestExpired(now)
 	c.mu.Lock()
 	next := c.timerDeadline
 	c.mu.Unlock()
 	return next
-}
-
-func (c *Conn) retransmitLoop() {
-	defer c.wg.Done()
-	// The tick only bounds how promptly an expiry is noticed; each
-	// datagram's own deadline decides whether it is resent.
-	interval := c.opts.MinRTO / 4
-	if c.opts.FixedRTO {
-		interval = c.opts.RTO / 4
-	}
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-ticker.C:
-		}
-		if c.opts.FixedRTO {
-			c.retransmitDueFixed()
-			continue
-		}
-		c.retransmitOldestExpired()
-	}
-}
-
-// retransmitDueFixed is the legacy per-datagram timer: every unacked
-// datagram whose fixed RTO has elapsed is resent. Kept as the
-// FixedRTO baseline the adaptive transport is measured against.
-func (c *Conn) retransmitDueFixed() {
-	now := time.Now()
-	var due []rsPkt
-	c.mu.Lock()
-	for seq, p := range c.unacked {
-		if now.Sub(p.lastSent) >= c.backoffRTOLocked(p.rtx) {
-			p.lastSent = now
-			p.rtx++
-			due = append(due, c.stagePacketLocked(seq, p.payload))
-		}
-	}
-	c.mu.Unlock()
-	okCount, okBytes := c.writeStaged(due)
-	if okCount > 0 {
-		c.mu.Lock()
-		c.stats.DataResent += okCount
-		c.stats.TimeoutResent += okCount
-		c.stats.BytesSent += okBytes
-		c.mu.Unlock()
-	}
 }
 
 // retransmitOldestExpired implements the RFC 6298 §5 single-timer
@@ -1170,8 +1120,7 @@ func (c *Conn) retransmitDueFixed() {
 // datagrams are left alone — with cumulative ACKs they are almost
 // always already buffered at the receiver, and resending them is what
 // made per-datagram timers collapse into whole-window resend storms.
-func (c *Conn) retransmitOldestExpired() {
-	now := time.Now()
+func (c *Conn) retransmitOldestExpired(now time.Time) {
 	c.mu.Lock()
 	if c.timerDeadline.IsZero() || now.Before(c.timerDeadline) || len(c.unacked) == 0 {
 		c.mu.Unlock()
@@ -1185,61 +1134,13 @@ func (c *Conn) retransmitOldestExpired() {
 			first = false
 		}
 	}
-	p := c.unacked[oldest]
-	p.lastSent = now
-	p.rtx++
 	if c.rtxBackoff < 16 {
 		c.rtxBackoff++
 	}
 	c.timerDeadline = now.Add(c.backoffRTOLocked(c.rtxBackoff))
 	c.recoverSeq = c.sendSeq
 	c.recoverValid = true
-	staged := c.stagePacketLocked(oldest, p.payload)
+	staged := c.resendLocked(oldest, c.unacked[oldest], now, &c.stats.TimeoutResent)
 	c.mu.Unlock()
-	if okCount, okBytes := c.writeStaged([]rsPkt{staged}); okCount > 0 {
-		c.mu.Lock()
-		c.stats.DataResent += okCount
-		c.stats.TimeoutResent += okCount
-		c.stats.BytesSent += okBytes
-		c.mu.Unlock()
-	}
-}
-
-func isTimeout(err error) bool {
-	// Direct assertion first: errors.As takes the target's address and
-	// costs an allocation per call, which the 20Hz-per-connection read
-	// poll turns into measurable garbage at fleet scale.
-	if ne, ok := err.(net.Error); ok {
-		return ne.Timeout()
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// Group fans one message out to several connections — the stand-in for
-// the UDP multicast the paper uses to replicate state-mutating
-// commands to every service device with one logical transmission
-// (§VI-B). SendAll returns the first error encountered but attempts
-// every member.
-type Group struct {
-	conns []*Conn
-}
-
-// NewGroup builds a multicast group over the given connections.
-func NewGroup(conns ...*Conn) *Group {
-	return &Group{conns: append([]*Conn(nil), conns...)}
-}
-
-// Len returns group size.
-func (g *Group) Len() int { return len(g.conns) }
-
-// SendAll delivers msg to every member.
-func (g *Group) SendAll(msg []byte) error {
-	var firstErr error
-	for _, c := range g.conns {
-		if err := c.Send(msg); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	c.writeStaged([]rsPkt{staged})
 }

@@ -205,25 +205,6 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestGroupSendAll(t *testing.T) {
-	a1, b1 := pair(t, 0)
-	a2, b2 := pair(t, 0)
-	_ = a2
-	g := NewGroup(a1, a2)
-	if g.Len() != 2 {
-		t.Fatalf("group len = %d", g.Len())
-	}
-	if err := g.SendAll([]byte("state-update")); err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range []*Conn{b1, b2} {
-		got, err := b.Recv(time.Second)
-		if err != nil || string(got) != "state-update" {
-			t.Fatalf("member %d: %q %v", i, got, err)
-		}
-	}
-}
-
 func TestOverRealUDPLoopback(t *testing.T) {
 	pcA, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {

@@ -2,8 +2,7 @@
 // packet-level link emulator (delay + jitter + bandwidth + loss) and
 // assert goodput and recovery-latency bounds — the §VII-B stability
 // story depends on the transport not stalling the frame pipeline on a
-// lossy radio. The adaptive-RTO transport is also A/B'd against the
-// fixed-RTO baseline it replaced.
+// lossy radio.
 package rudp_test
 
 import (
@@ -136,13 +135,10 @@ func soakLink(loss float64) netsim.LinkConfig {
 
 // soakOptions sizes the window to the path's delay-bandwidth product
 // (≈60 KB at 2 MB/s × 30 ms) so the un-congestion-controlled sender
-// doesn't drown its own bottleneck queue and inflate every RTT; both
-// transports get the identical configuration except for the recovery
-// machinery under test.
-func soakOptions(fixed bool) rudp.Options {
+// doesn't drown its own bottleneck queue and inflate every RTT.
+func soakOptions() rudp.Options {
 	opts := rudp.DefaultOptions()
 	opts.Window = 32
-	opts.FixedRTO = fixed
 	return opts
 }
 
@@ -158,7 +154,7 @@ func TestSoakAdaptiveAcrossLossRates(t *testing.T) {
 		loss := loss
 		t.Run(fmt.Sprintf("loss=%g", loss), func(t *testing.T) {
 			cfg := soakLink(loss)
-			res := runSoak(t, soakOptions(false), cfg, 1000+uint64(loss*100), msgs, size)
+			res := runSoak(t, soakOptions(), cfg, 1000+uint64(loss*100), msgs, size)
 			t.Logf("loss=%.0f%%: goodput %.0f KB/s, maxGap %v, resendRate %.3f, SRTT %v, RTO %v",
 				loss*100, res.goodputBps/1024, res.maxGap, res.stats.ResendRate(), res.stats.SRTT, res.stats.RTO)
 			// Recovery latency: a single loss must never stall the
@@ -167,46 +163,16 @@ func TestSoakAdaptiveAcrossLossRates(t *testing.T) {
 				t.Errorf("max delivery stall %v exceeds %v at %.0f%% loss", res.maxGap, gapBound[loss], loss*100)
 			}
 			// Goodput floor: at least a tenth of the raw link rate even
-			// at 20% loss (the fixed-RTO transport collapses far below).
+			// at 20% loss.
 			if res.goodputBps < float64(cfg.Bandwidth)/10 {
 				t.Errorf("goodput %.0f B/s below floor at %.0f%% loss", res.goodputBps, loss*100)
 			}
 			if res.stats.SRTT <= 0 {
 				t.Error("estimator never produced an RTT sample")
 			}
-			if res.health.Count() > 0 && res.health.MaxRTO() > soakOptions(false).MaxRTO {
+			if res.health.Count() > 0 && res.health.MaxRTO() > soakOptions().MaxRTO {
 				t.Errorf("sampled RTO %v beyond MaxRTO", res.health.MaxRTO())
 			}
 		})
-	}
-}
-
-func TestSoakAdaptiveBeatsFixedRTO(t *testing.T) {
-	// The acceptance bar: at 5% loss on a path whose RTT (30 ms) sits
-	// above the legacy fixed 20 ms RTO, the adaptive transport must at
-	// least double the baseline's goodput (the baseline spuriously
-	// retransmits every datagram and floods its own bottleneck queue).
-	// The transfer is long enough to amortize the adaptive transport's
-	// bootstrap phase (its first RTT sample also arrives after the
-	// too-short initial RTO has fired once) and to keep the measured
-	// wall-clock goodput ratio well clear of the bar: short transfers
-	// put the run-to-run ratio spread right on 2×.
-	msgs, size := 800, 4096
-	if testing.Short() {
-		msgs = 400
-	}
-	cfg := soakLink(0.05)
-	adaptive := runSoak(t, soakOptions(false), cfg, 4242, msgs, size)
-	fixed := runSoak(t, soakOptions(true), cfg, 4242, msgs, size)
-	t.Logf("adaptive: %.0f KB/s (resend %.3f, maxGap %v) | fixed: %.0f KB/s (resend %.3f, maxGap %v)",
-		adaptive.goodputBps/1024, adaptive.stats.ResendRate(), adaptive.maxGap,
-		fixed.goodputBps/1024, fixed.stats.ResendRate(), fixed.maxGap)
-	if adaptive.goodputBps < 2*fixed.goodputBps {
-		t.Fatalf("adaptive goodput %.0f B/s is not ≥2× fixed %.0f B/s",
-			adaptive.goodputBps, fixed.goodputBps)
-	}
-	if adaptive.stats.ResendRate() >= fixed.stats.ResendRate() {
-		t.Fatalf("adaptive resend rate %.3f not below fixed %.3f",
-			adaptive.stats.ResendRate(), fixed.stats.ResendRate())
 	}
 }

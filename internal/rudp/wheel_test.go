@@ -22,12 +22,11 @@ type demux struct {
 	mu    sync.Mutex
 	conns map[string]*Conn
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 func newDemux(pc net.PacketConn) *demux {
-	d := &demux{pc: pc, conns: make(map[string]*Conn), done: make(chan struct{})}
+	d := &demux{pc: pc, conns: make(map[string]*Conn)}
 	d.wg.Add(1)
 	go d.run()
 	return d
@@ -43,18 +42,9 @@ func (d *demux) run() {
 	defer d.wg.Done()
 	buf := make([]byte, 65536)
 	for {
-		select {
-		case <-d.done:
-			return
-		default:
-		}
-		_ = d.pc.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
 		n, from, err := d.pc.ReadFrom(buf)
 		if err != nil {
-			if isTimeout(err) {
-				continue
-			}
-			return
+			return // close() closed the socket
 		}
 		if from == nil || !IsProtocolDatagram(buf[:n]) {
 			continue
@@ -69,7 +59,6 @@ func (d *demux) run() {
 }
 
 func (d *demux) close() {
-	close(d.done)
 	_ = d.pc.Close()
 	d.wg.Wait()
 }
@@ -90,7 +79,7 @@ func newStar(t *testing.T, n int, cfg netsim.LinkConfig, seed uint64) (*netsim.H
 }
 
 func TestWheelScheduleFireRemove(t *testing.T) {
-	w := NewWheel(time.Millisecond, 8)
+	w := NewWheel(8)
 	defer w.Close()
 	pcB, pcA := netsim.NewPair(netsim.LinkConfig{}, 11)
 	defer pcB.Close()
@@ -122,11 +111,10 @@ func TestWheelScheduleFireRemove(t *testing.T) {
 
 func TestWheelDrivesRetransmission(t *testing.T) {
 	// Loss severe enough that the first copy of some datagram dies:
-	// only the wheel can resend it, because a demuxed conn runs no
-	// retransmitLoop of its own.
+	// only the shared wheel can resend it on the demuxed side.
 	hub, leaf := netsim.NewPair(netsim.LinkConfig{Loss: 0.25}, 1234)
 
-	w := NewWheel(time.Millisecond, 64)
+	w := NewWheel(64)
 	defer w.Close()
 	opts := DefaultOptions()
 	opts.RTO = 10 * time.Millisecond
@@ -181,7 +169,7 @@ func TestDemuxedConnsRunNoGoroutines(t *testing.T) {
 	for _, l := range leaves {
 		defer l.Close()
 	}
-	w := NewWheel(time.Millisecond, 256)
+	w := NewWheel(256)
 	defer w.Close()
 
 	runtime.GC()
@@ -201,6 +189,35 @@ func TestDemuxedConnsRunNoGoroutines(t *testing.T) {
 	// The shared listener must survive demuxed closes.
 	if _, err := hub.WriteTo([]byte("x"), leaves[0].Addr()); err != nil {
 		t.Fatalf("shared socket closed by demuxed Conn.Close: %v", err)
+	}
+}
+
+func TestNewConnsReleaseGoroutinesOnClose(t *testing.T) {
+	// A New conn runs two goroutines — readLoop blocked in ReadFrom and
+	// its private wheel's ticker — and Close must end both: the socket
+	// close unblocks the read, the wheel close stops the tick.
+	hub, leaves := newStar(t, 16, netsim.LinkConfig{}, 9)
+	defer hub.Close()
+
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	conns := make([]*Conn, len(leaves))
+	for i, l := range leaves {
+		conns[i] = New(l, hub.Addr(), DefaultOptions())
+	}
+	if grew := runtime.NumGoroutine() - before; grew < 2*len(conns) {
+		t.Fatalf("%d New conns grew goroutines by %d; want 2 each", len(conns), grew)
+	}
+	for _, c := range conns {
+		_ = c.Close()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d after closing %d New conns; baseline %d",
+				runtime.NumGoroutine(), len(conns), before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -284,7 +301,7 @@ func TestDemuxedBidirectionalUnderLoss(t *testing.T) {
 	// cross-talk, all retransmissions wheel-driven on the hub side.
 	const sessions = 4
 	hub, leaves := newStar(t, sessions, netsim.LinkConfig{Loss: 0.10}, 4242)
-	w := NewWheel(time.Millisecond, 256)
+	w := NewWheel(256)
 	defer w.Close()
 	opts := DefaultOptions()
 	opts.RTO = 15 * time.Millisecond
@@ -371,5 +388,56 @@ func TestDemuxedBidirectionalUnderLoss(t *testing.T) {
 	}
 	if resent == 0 {
 		t.Fatal("10% loss across 4 demuxed sessions produced zero wheel-driven retransmissions")
+	}
+}
+
+// TestWheelNextTickAndCatchUp drives a goroutine-free 8-slot wheel on a
+// virtual clock: the tick its goroutine would sleep until is the
+// earliest occupied one, also when that lies more than a revolution
+// ahead, and one advance over many revolutions fires each due entry
+// exactly once and leaves later ones scheduled.
+func TestWheelNextTickAndCatchUp(t *testing.T) {
+	clock := &vclock{t: time.Unix(1_000_000, 0)}
+	w := newWheel(8, clock.now)
+	link := newVlink(clock, time.Millisecond, 0, 1)
+	conns := make([]*Conn, 3)
+	for i := range conns {
+		conns[i] = NewDemuxed(&vend{link, 0}, vaddr("b"), DefaultOptions(), w)
+		defer conns[i].Close()
+	}
+	next := func() int64 {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return w.nextLocked()
+	}
+	if got := next(); got != noTick {
+		t.Fatalf("empty wheel: next tick %d, want none", got)
+	}
+	// Idle conns have no timer armed: timerCheck drops them on firing.
+	w.schedule(conns[0], clock.t.Add(30*wheelTick)) // 3+ revolutions out
+	w.schedule(conns[1], clock.t.Add(100*wheelTick))
+	if got, want := next(), w.tickIndex(clock.t.Add(30*wheelTick))+1; got != want {
+		t.Fatalf("next tick %d, want %d (an entry beyond one revolution)", got, want)
+	}
+	w.schedule(conns[2], clock.t.Add(2*wheelTick))
+	if got, want := next(), w.tickIndex(clock.t.Add(2*wheelTick))+1; got != want {
+		t.Fatalf("next tick %d, want %d", got, want)
+	}
+
+	clock.t = clock.t.Add(50 * wheelTick)
+	w.advance(clock.t)
+	w.mu.Lock()
+	_, left := w.sched[conns[1]]
+	w.mu.Unlock()
+	if w.Len() != 1 || !left {
+		t.Fatalf("after 50 ticks: %d scheduled (want only the 100-tick conn)", w.Len())
+	}
+	if got, want := next(), w.tickIndex(time.Unix(1_000_000, 0).Add(100*wheelTick))+1; got != want {
+		t.Fatalf("next tick %d, want %d", got, want)
+	}
+	clock.t = clock.t.Add(51 * wheelTick)
+	w.advance(clock.t)
+	if w.Len() != 0 {
+		t.Fatalf("after 101 ticks: %d still scheduled", w.Len())
 	}
 }

@@ -40,6 +40,11 @@ gate 'TestMultiUserExperiment' -race -count=5 ./internal/experiments/
 # transport read loop, the garbage-first-datagram accept check, and the
 # absolute accept deadline.
 gate 'Stray|GarbageFirstDatagram|AcceptDeadline' -race ./internal/rudp/... .
+# Transport replay and receive-buffer gates, repeated: two conns over a
+# seeded lossy link on one virtual clock must write the same datagrams
+# byte for byte every run, and out-of-order datagrams beyond
+# Window + 64 must be refused, not buffered.
+gate 'TestLossyTraceDeterministic|TestRecvBufBounded' -count=5 ./internal/rudp/
 # Device-crash failover soaks under the race detector: the blackhole
 # fault injector plus the client's failover loop are the most
 # contended paths in the tree.
