@@ -18,11 +18,9 @@
 //	              [-arrival-window 0] [-churn-fraction -1]
 //	              [-max-sessions 0] [-idle 30s] [-quality 0]
 //	              [-adaptive-quality] [-quality-floor 0] [-parallelism 1]
-//	              [-addr host:port] [-bench]
+//	              [-addr host:port] [-predict]
 //
-// With -bench, machine-readable Go-benchmark lines go to stdout (one
-// per scenario, parsed by scripts/benchjson into BENCH_load.json) and
-// the human tables to stderr; without it, tables go to stdout.
+// Each scenario's SLO table goes to stdout.
 package main
 
 import (
@@ -55,7 +53,6 @@ func main() {
 	qualityFloor := flag.Int("quality-floor", 0, "adaptive quality lower bound (0 = default)")
 	parallelism := flag.Int("parallelism", 1, "per-session data-plane workers (1 = serial; sessions already run concurrently)")
 	addr := flag.String("addr", "", "aim at a real server at this UDP address instead of an in-process fleet")
-	bench := flag.Bool("bench", false, "emit Go-benchmark lines on stdout (tables move to stderr)")
 	predict := flag.Bool("predict", false, "enable each session's predictive control plane (ARMAX forecast, radio pre-wake, energy accounting)")
 	flag.Parse()
 
@@ -74,10 +71,6 @@ func main() {
 		opts = append(opts, gbooster.WithPredictiveControl())
 	}
 
-	tables := os.Stdout
-	if *bench {
-		tables = os.Stderr
-	}
 	failed := false
 	for _, name := range names {
 		sc, err := loadgen.ScenarioByName(strings.TrimSpace(name))
@@ -100,10 +93,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprint(tables, slo.Table())
-		if *bench {
-			fmt.Println(slo.BenchLine())
-		}
+		fmt.Print(slo.Table())
 		if slo.Failed > 0 {
 			failed = true
 		}

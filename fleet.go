@@ -26,9 +26,6 @@ type FleetConfig struct {
 	// datagrams from new peers beyond the cap are dropped rather than
 	// allocating toward OOM. 0 selects the library default (1024).
 	MaxSessions int
-	// GateWidth bounds how many sessions may render simultaneously on
-	// the shared GPU backend: 0 = one per CPU, negative = unlimited.
-	GateWidth int
 	// IdleTimeout reaps sessions with no inbound traffic. It must
 	// comfortably exceed the longest expected inter-frame gap: reaping
 	// a live session discards transport state the peer cannot resync.
@@ -90,7 +87,6 @@ func NewFleet(cfg FleetConfig, opts ...Option) (*Fleet, error) {
 		QualityFloor:    o.qualityFloor,
 		CacheBytes:      cfg.CacheBytes,
 		MaxSessions:     cfg.MaxSessions,
-		GateWidth:       cfg.GateWidth,
 		IdleTimeout:     cfg.IdleTimeout,
 		EgressBatch:     cfg.EgressBatch,
 	}}, nil

@@ -53,15 +53,11 @@ type ClientConfig struct {
 	// observation to scale from. Devices legitimately slower than this
 	// per frame need a larger value.
 	FailoverMaxWait time.Duration
-	// FailoverAttempts bounds total dispatch attempts per frame,
-	// including the first (default 3).
-	FailoverAttempts int
-
-	// HandoffTimeout caps a bootstrap handoff: a joining device that has
-	// not acked the checkpoint fingerprint within this window is
-	// re-evicted (default 2×FailoverMaxWait).
-	HandoffTimeout time.Duration
 }
+
+// failoverAttempts bounds total dispatch attempts per frame, including
+// the first.
+const failoverAttempts = 3
 
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.Quality <= 0 {
@@ -78,12 +74,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.FailoverMaxWait < c.FailoverMinWait {
 		c.FailoverMaxWait = c.FailoverMinWait
-	}
-	if c.FailoverAttempts <= 0 {
-		c.FailoverAttempts = 3
-	}
-	if c.HandoffTimeout <= 0 {
-		c.HandoffTimeout = 2 * c.FailoverMaxWait
 	}
 	return c
 }
@@ -941,7 +931,7 @@ func (c *Client) migrateOrphansLocked(svc *service) bool {
 	for _, seq := range orphans {
 		req := c.inflight[seq]
 		c.sched.Complete(svc.dev, req.workload)
-		if req.attempts < c.cfg.FailoverAttempts {
+		if req.attempts < failoverAttempts {
 			if err := c.sendBatchLocked(seq, req); err == nil {
 				c.stats.ReDispatched++
 				continue
@@ -996,7 +986,9 @@ func (c *Client) beginHandoffLocked(svc *service) error {
 	svc.handoffAcked = false
 	svc.handoffFP = cp.Fingerprint()
 	svc.handoffSentAt = time.Now()
-	svc.handoffDeadline = svc.handoffSentAt.Add(c.cfg.HandoffTimeout)
+	// A joining device that has not acked the checkpoint fingerprint
+	// within twice the failover patience is re-evicted.
+	svc.handoffDeadline = svc.handoffSentAt.Add(2 * c.cfg.FailoverMaxWait)
 	svc.handoffEpoch++
 	svc.joinQueue = svc.joinQueue[:0]
 	c.stats.BootstrapsSent++

@@ -6,10 +6,11 @@
 // injection (rudp.NewDemuxed / Conn.Inject — no per-connection read
 // loop), drives every session's retransmission timer from one hashed
 // timer wheel (no per-connection ticker), and schedules every session's
-// renders through one bounded GPU gate (dispatch.Gate) so the shared
-// backend batches work instead of thrashing. Admission control caps the
-// session population: a datagram from an unknown peer beyond
-// MaxSessions is dropped and counted rather than allocating toward OOM.
+// renders through one GPU gate of GOMAXPROCS slots (dispatch.Gate) so
+// the shared backend batches work instead of thrashing. Admission
+// control caps the session population: a datagram from an unknown peer
+// beyond MaxSessions is dropped and counted rather than allocating
+// toward OOM.
 //
 // Per session the steady-state footprint is one goroutine (the serve
 // loop), one wheel slot while data is in flight, and the session's own
@@ -82,9 +83,6 @@ type Config struct {
 	CacheBytes int
 	// MaxSessions is the admission cap (0 = DefaultMaxSessions).
 	MaxSessions int
-	// GateWidth bounds concurrent renders across all sessions:
-	// 0 = GOMAXPROCS, negative = unlimited.
-	GateWidth int
 	// IdleTimeout reaps sessions with no inbound traffic
 	// (0 = DefaultIdleTimeout).
 	IdleTimeout time.Duration
@@ -104,12 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Parallelism == 0 {
 		c.Parallelism = 1
-	}
-	switch {
-	case c.GateWidth == 0:
-		c.GateWidth = runtime.GOMAXPROCS(0)
-	case c.GateWidth < 0:
-		c.GateWidth = 0 // dispatch.Gate: 0 = unlimited
 	}
 	if c.EgressBatch == 0 {
 		c.EgressBatch = DefaultEgressBatch
@@ -219,7 +211,7 @@ func New(pc net.PacketConn, cfg Config) (*Manager, error) {
 		cfg:   cfg,
 		pc:    pc,
 		wheel: rudp.NewWheel(2 * cfg.MaxSessions),
-		gate:  dispatch.NewGate(cfg.GateWidth),
+		gate:  dispatch.NewGate(runtime.GOMAXPROCS(0)),
 		done:  make(chan struct{}),
 	}
 	for i := range m.shards {

@@ -217,8 +217,8 @@ func TestGPUSetParallelismDegree(t *testing.T) {
 // covers the screen many times over and must speed up with a second
 // core, and a G1-shaped frame of one clear plus 120 textured 27-pixel
 // sprite quads, each a draw far too small to split, which must cost the
-// same at every degree. The par=1 series is the serial reference for
-// BENCH_dataplane.json speedups.
+// same at every degree. The par=1 series is the serial reference the
+// parallel degrees are compared against.
 func BenchmarkRaster(b *testing.B) {
 	const w, h = 1280, 720
 	rng := sim.NewRNG(11)

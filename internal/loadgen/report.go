@@ -98,37 +98,6 @@ func Summarize(name string, results []Result) SLO {
 	return slo
 }
 
-// BenchLine renders the SLO as one Go-benchmark-format line, which is
-// what scripts/benchjson parses into BENCH_load.json. Iterations are
-// displayed frames; ns/op the mean frame latency.
-func (s SLO) BenchLine() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "BenchmarkLoad/scenario=%s \t%8d\t%12.0f ns/op", s.Scenario, s.Frames, s.MeanLatency*1e6)
-	add := func(v float64, unit string) { fmt.Fprintf(&b, "\t%12.3f %s", v, unit) }
-	add(s.P50, "p50_ms")
-	add(s.P99, "p99_ms")
-	add(s.FPS, "fps")
-	add(float64(s.OK), "sessions_ok")
-	add(float64(s.Crashed), "sessions_crashed")
-	add(float64(s.Rejected), "sessions_rejected")
-	add(float64(s.Failed), "sessions_failed")
-	add(float64(s.GapSkips), "gap_skips")
-	add(float64(s.ReDispatched), "redispatched")
-	add(float64(s.Evictions), "evictions")
-	add(float64(s.HandoffsOK), "handoffs_ok")
-	add(float64(s.HandoffsFailed), "handoffs_failed")
-	add(float64(s.QualitySteps), "quality_steps")
-	if s.Frames > 0 {
-		add(float64(s.DownlinkBytes)/float64(s.Frames)/1024, "downlink_kb/frame")
-	} else {
-		add(0, "downlink_kb/frame")
-	}
-	add(float64(s.FleetPeak), "fleet_peak")
-	add(float64(s.FleetRejected), "fleet_rejected")
-	add(float64(s.FleetGateWaits), "fleet_gate_waits")
-	return b.String()
-}
-
 // Table renders the SLO as a human-readable console block.
 func (s SLO) Table() string {
 	var b strings.Builder

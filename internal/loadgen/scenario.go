@@ -69,7 +69,7 @@ type WeightedProfile struct {
 // per-session plans, purely as a function of the scenario value (same
 // Seed → identical plan), so every run of a scenario is replayable.
 type Scenario struct {
-	// Name labels the scenario in reports and BENCH_load.json.
+	// Name labels the scenario in its SLO table.
 	Name string
 	// Sessions is how many players arrive over the window.
 	Sessions int

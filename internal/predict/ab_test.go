@@ -8,7 +8,7 @@ import (
 // TestABGate pins the PR's acceptance criterion: under the spike and
 // flash-crowd presets, same seed, the forecast-on arm has fewer
 // wake-latency stalls AND lower modeled energy per frame than the
-// forecast-off arm. BENCH_predict.json records the same comparison;
+// forecast-off arm. BenchmarkPredictAB reports the same comparison;
 // this test is the gate asserting it.
 func TestABGate(t *testing.T) {
 	for _, preset := range ABPresets() {
@@ -57,10 +57,9 @@ func TestABUnknownPreset(t *testing.T) {
 	}
 }
 
-// BenchmarkPredictAB emits the predict family parsed by
-// scripts/benchjson into BENCH_predict.json: one sub-benchmark per
-// preset × forecast arm, with stalls, energy per frame, and wakeups as
-// custom metrics.
+// BenchmarkPredictAB reports one sub-benchmark per preset × forecast
+// arm, with stalls, energy per frame, wakeups and the false-negative
+// rate as custom metrics.
 func BenchmarkPredictAB(b *testing.B) {
 	for _, preset := range ABPresets() {
 		r, err := RunAB(preset, 1, 3000)

@@ -31,8 +31,8 @@ func parDegrees() []int {
 	return uniqueDegrees([]int{1, 2, 3, runtime.NumCPU()})
 }
 
-// benchDegrees are the worker degrees the benchmark suite sweeps; the
-// BENCH_dataplane.json speedups compare par=1 against the rest.
+// benchDegrees are the worker degrees the benchmark suite sweeps; a
+// speedup compares a series' par=1 ns/op against the rest.
 func benchDegrees() []int {
 	return uniqueDegrees([]int{1, 2, 4, runtime.NumCPU()})
 }
@@ -268,8 +268,7 @@ func benchFrames(w, h int) [][]byte {
 
 // BenchmarkTurboEncode measures tile-parallel encode throughput across
 // worker degrees at the paper's streaming resolutions. The par=1 series
-// is the serial reference the BENCH_dataplane.json speedups are
-// computed against.
+// is the serial reference the parallel degrees are compared against.
 func BenchmarkTurboEncode(b *testing.B) {
 	for _, sz := range []struct {
 		name string

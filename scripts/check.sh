@@ -93,33 +93,32 @@ gate 'TestDrawZeroAllocSteadyState' -count=1 ./internal/gles/
 # ordering/overflow behavior under producer concurrency.
 go test -race -count=1 ./internal/batchio/
 gate 'TestEgress' -race -count=1 ./internal/fleet/
-# Data-plane benchmark smoke: a few iterations per series prove the
-# parallel encode/raster paths still run and refresh
-# BENCH_dataplane.json's schema, while the MIN_MBPS gate catches a
-# single-thread turbo-encode throughput regression (the fixed-point
-# pipeline sustains ~110 MB/s at 720p; 60 leaves headroom for slow
-# CI hosts). Full numbers come from running scripts/bench_dataplane.sh
-# without BENCHTIME.
-BENCHTIME=5x OUT=/tmp/BENCH_dataplane.smoke.json \
-	MIN_MBPS='BenchmarkTurboEncode/1280x720/par=1:60' \
-	sh scripts/bench_dataplane.sh
-# Uplink benchmark smoke: proves the dict=on/dict=off encode series and
-# the BENCH_uplink.json summary still build. Full numbers come from
-# running scripts/bench_uplink.sh without BENCHTIME.
-BENCHTIME=1x OUT=/tmp/BENCH_uplink.smoke.json sh scripts/bench_uplink.sh
-# Handoff benchmark smoke: proves the checkpoint capture/restore series
-# and the BENCH_handoff.json summary still build. Full numbers come
-# from running scripts/bench_handoff.sh without BENCHTIME.
-BENCHTIME=1x OUT=/tmp/BENCH_handoff.smoke.json sh scripts/bench_handoff.sh
-# Fleet benchmark smoke: proves the sessions=1/64/1024 scaling series
-# and the BENCH_fleet.json summary still build. Full numbers come from
-# running scripts/bench_fleet.sh without BENCHTIME.
-BENCHTIME=1x OUT=/tmp/BENCH_fleet.smoke.json sh scripts/bench_fleet.sh
-# Downlink benchmark smoke: proves the sessions x batch=on/off series
-# over a real UDP socket and the BENCH_downlink.json summary still
-# build. Full numbers come from running scripts/bench_downlink.sh
-# without BENCHTIME.
-BENCHTIME=1x OUT=/tmp/BENCH_downlink.smoke.json sh scripts/bench_downlink.sh
+# Benchmark smokes: one iteration of every micro-benchmark series
+# proves each still builds and runs. Full numbers come from the same
+# lines without -benchtime (or with a larger one).
+go test -run '^$' -bench 'BenchmarkTurboEncode|BenchmarkTurboDecode' -benchtime 1x ./internal/turbo/
+go test -run '^$' -bench 'BenchmarkRaster' -benchtime 1x ./internal/gles/
+go test -run '^$' -bench 'BenchmarkDownlinkServe|BenchmarkFleetServe' -benchmem -benchtime 1x ./internal/fleet/
+go test -run '^$' -bench 'BenchmarkUplinkFrame|BenchmarkHandoff' -benchmem -benchtime 1x ./internal/core/
+go test -run '^$' -bench 'BenchmarkPredictAB' -benchtime 1x ./internal/predict/
+# Turbo throughput floor: single-thread 720p encode must reach 60 MB/s
+# (the fixed-point pipeline sustains ~110; 60 leaves headroom for slow
+# hosts). The rate is the field before "MB/s" on the series' line,
+# whose name go test suffixes with -GOMAXPROCS. A missing series fails
+# too: a renamed or skipped benchmark must not read as a pass.
+min_mbps() {
+	awk -v name="$1" -v min="$2" '
+		{ n = $1; sub(/-[0-9]+$/, "", n) }
+		n == name { for (i = 3; i <= NF; i++) if ($i == "MB/s") { rate = $(i - 1); found = 1 } }
+		END {
+			err = "cat 1>&2"
+			if (!found) { print "check.sh: " name " missing from the benchmark output" | err; exit 1 }
+			if (rate + 0 < min + 0) { print "check.sh: " name " ran at " rate " MB/s, below the " min " MB/s floor" | err; exit 1 }
+			print "check.sh: " name " " rate " MB/s >= " min " MB/s"
+		}'
+}
+turbo_out="$(go test -run '^$' -bench 'BenchmarkTurboEncode/1280x720/par=1$' -benchtime 5x ./internal/turbo/)"
+printf '%s\n' "$turbo_out" | min_mbps 'BenchmarkTurboEncode/1280x720/par=1' 60
 # Load-harness race smokes: the worker-pool executor, the hub's
 # per-port shapers, and the fleet's demux/reap paths all interleave
 # here — first the in-process churn/hot-join executor tests, then a
@@ -127,11 +126,9 @@ BENCHTIME=1x OUT=/tmp/BENCH_downlink.smoke.json sh scripts/bench_downlink.sh
 go test -race -short ./internal/loadgen/
 go run -race ./cmd/gbooster-load -scenario flash-crowd \
 	-sessions 8 -frames 8 -width 128 -height 96 >/dev/null
-# Load-harness benchmark smoke: proves all four scenario presets still
-# run end to end and the BENCH_load.json summary still builds. Full
-# numbers come from running scripts/bench_load.sh without overrides.
-SESSIONS=6 FRAMES=8 WIDTH=128 HEIGHT=96 OUT=/tmp/BENCH_load.smoke.json \
-	sh scripts/bench_load.sh >/dev/null
+# Load-harness smoke: all five scenario presets run end to end through
+# the real CLI, scaled down.
+go run ./cmd/gbooster-load -scenario all -sessions 6 -frames 8 -width 128 -height 96 >/dev/null
 # Predictive control plane under the race detector: the live player
 # drives ObserveFrame / Tick / Snapshot from three goroutines, and the
 # forecast on/off A/B gate (fewer wake stalls AND lower energy per
@@ -141,7 +138,3 @@ go test -race -short ./internal/predict/ ./internal/timeseries/ ./internal/ifswi
 # session must run end to end and carry its prediction/energy block
 # through Player.Snapshot.
 gate 'TestPredictiveControlSnapshot|TestPredictDefaultOff' -race -count=1 .
-# Predict benchmark smoke: proves the preset x forecast=on/off series
-# and the BENCH_predict.json summary still build. Full numbers come
-# from running scripts/bench_predict.sh without BENCHTIME.
-BENCHTIME=1x OUT=/tmp/BENCH_predict.smoke.json sh scripts/bench_predict.sh >/dev/null
