@@ -116,6 +116,7 @@ func replay(args []string) error {
 		}
 		frames++
 	}
+	gpu.Resolve() // a trace may end without a frame boundary
 	elapsed := time.Since(start)
 	fmt.Printf("replayed %d frames in %v (%.1f FPS), %d fragments shaded, %d commands\n",
 		frames, elapsed.Round(time.Millisecond),

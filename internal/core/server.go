@@ -25,9 +25,10 @@ type ServerConfig struct {
 	// CacheBytes bounds the mirrored command cache (default
 	// cmdcache.DefaultCapacity).
 	CacheBytes int
-	// Parallelism is the data-plane worker degree for rasterization
-	// bands and codec tiles: 0 selects one worker per CPU, 1 the serial
-	// reference path. Output is byte-identical at every degree.
+	// Parallelism is the data-plane worker degree of a frame's fused
+	// raster and encode (one band of tile rows per span): 0 selects one
+	// worker per CPU, 1 the serial reference path. Output is
+	// byte-identical at every degree.
 	Parallelism int
 	// AdaptiveQuality enables the congestion-aware quality ladder:
 	// Quality becomes the ceiling, and the server steps encode quality
@@ -101,6 +102,9 @@ type Server struct {
 	// lastAdapt rate-limits transport sampling.
 	ladder    *qualityLadder
 	lastAdapt time.Time
+	// renderRows resolves rows of the GPU's recorded frame; it is the
+	// encoder's render hook, bound once so encoding allocates nothing.
+	renderRows func(y0, y1 int)
 }
 
 // NewServer builds a server with a fresh GPU context.
@@ -118,6 +122,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.gpu.SetParallelism(cfg.Parallelism)
 	s.enc.SetParallelism(cfg.Parallelism)
+	s.renderRows = func(y0, y1 int) { s.gpu.ResolveRows(y0, y1) }
 	if cfg.AdaptiveQuality {
 		s.ladder = newQualityLadder(cfg.Quality, cfg.QualityFloor)
 	}
@@ -218,6 +223,11 @@ func ReleaseMsg(conn *rudp.Conn, msg []byte) {
 // loop can drive a server without Serve. The reply is built in the
 // server's reusable staging buffer: it stays valid only until the next
 // Handle, so callers must send (rudp copies on Send) or copy it first.
+//
+// A batch's clears and draws are recorded, and a batch that ends a
+// frame is rasterized inside its encode. Nothing recorded outlives the
+// Handle that recorded it: every other batch resolves before Handle
+// returns, so the recording is bounded by one batch.
 func (s *Server) Handle(msg []byte) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -228,13 +238,16 @@ func (s *Server) Handle(msg []byte) ([]byte, error) {
 	}
 	switch msgType {
 	case MsgFrameBatch:
-		frame, err := s.executeBatch(payload)
-		if err != nil || frame == nil { // nil frame: no SwapBuffers boundary
+		frameDone, err := s.executeBatch(payload)
+		if err != nil || !frameDone {
+			s.gpu.Resolve()
 			return nil, err
 		}
-		return s.encodeReplyLocked(frame, seq)
+		return s.encodeReplyLocked(seq)
 	case MsgStateUpdate:
-		if _, err := s.executeBatch(payload); err != nil {
+		_, err := s.executeBatch(payload)
+		s.gpu.Resolve()
+		if err != nil {
 			return nil, err
 		}
 		s.stats.StateUpdates++
@@ -280,17 +293,21 @@ func (s *Server) applyBootstrapLocked(payload []byte) []byte {
 	return ack[:]
 }
 
-// encodeReplyLocked turbo-encodes one finished frame and wraps it in a
-// reply message. Frames reach the encoder in render order — the
-// closed-loop delta codec's prev state is order-sensitive — because
-// Handle renders and encodes under one hold of s.mu.
-func (s *Server) encodeReplyLocked(frame []byte, seq uint64) ([]byte, error) {
+// encodeReplyLocked rasterizes and turbo-encodes the recorded frame in
+// one pass — each encoder span resolves its own rows of the
+// framebuffer, then encodes them — and wraps the packet in a reply
+// message. Frames reach the encoder in render order — the closed-loop
+// delta codec's prev state is order-sensitive — because Handle renders
+// and encodes under one hold of s.mu.
+func (s *Server) encodeReplyLocked(seq uint64) ([]byte, error) {
 	key := s.forceKey
 	s.forceKey = false
-	pkt, err := s.enc.Encode(frame, key)
+	pkt, err := s.enc.EncodeWith(s.gpu.FB.Pix, key, s.renderRows)
 	if err != nil {
+		s.gpu.Resolve() // the encoder refuses a frame before rendering any row
 		return nil, fmt.Errorf("core: encode frame: %w", err)
 	}
+	s.gpu.Retire()
 	reply := appendMsgHeader(s.replyBuf[:0], MsgEncodedFrame, seq)
 	reply = append(reply, pkt...)
 	s.replyBuf = reply
@@ -299,30 +316,31 @@ func (s *Server) encodeReplyLocked(frame []byte, seq uint64) ([]byte, error) {
 	return reply, nil
 }
 
-// executeBatch decompresses, cache-decodes, deserializes, and executes
-// one batch. It returns the framebuffer when the batch ended a frame.
-// Records stream through decode→execute one at a time: a record aliases
-// cache storage that only the NEXT DecodeRecord's insert may evict, and
-// the GL context copies anything it retains past Execute, so no
-// per-record copy (and no record list) is ever materialized.
-func (s *Server) executeBatch(payload []byte) ([]byte, error) {
+// executeBatch decompresses, cache-decodes, deserializes, and records
+// one batch on the GPU, leaving it for the caller to resolve. It
+// reports whether the batch ended a frame. Records stream through
+// decode→record one at a time: a record aliases cache storage that only
+// the NEXT DecodeRecord's insert may evict, and the GL context and the
+// recording copy anything they retain past Record, so no per-record
+// copy (and no record list) is ever materialized.
+func (s *Server) executeBatch(payload []byte) (bool, error) {
 	raw, err := s.decomp.Decompress(s.rawBuf[:0], payload, lz4.MaxBlockSize)
 	s.rawBuf = raw
 	if err != nil {
-		return nil, fmt.Errorf("core: lz4: %w", err)
+		return false, fmt.Errorf("core: lz4: %w", err)
 	}
 	frameDone := false
 	for i := 0; len(raw) > 0; i++ {
 		rec, n, err := s.cache.DecodeRecord(raw)
 		if err != nil {
-			return nil, fmt.Errorf("core: cache: item %d: %w", i, err)
+			return false, fmt.Errorf("core: cache: item %d: %w", i, err)
 		}
 		raw = raw[n:]
 		cmd, _, err := s.dec.DecodeNoCopy(rec)
 		if err != nil {
-			return nil, fmt.Errorf("core: wire: %w", err)
+			return false, fmt.Errorf("core: wire: %w", err)
 		}
-		res, err := s.gpu.Execute(cmd)
+		res, err := s.gpu.Record(cmd)
 		if err != nil {
 			// Driver-style diagnostics: record and continue, like a
 			// real GPU raising GL errors without dying.
@@ -332,10 +350,7 @@ func (s *Server) executeBatch(payload []byte) ([]byte, error) {
 			frameDone = true
 		}
 	}
-	if !frameDone {
-		return nil, nil
-	}
-	return s.gpu.FB.Pix, nil
+	return frameDone, nil
 }
 
 // Snapshot exposes the server's GL context fingerprint for the §VI-B

@@ -35,6 +35,7 @@ func TestExecuteNeverPanicsOnArbitraryCommands(t *testing.T) {
 		}
 		_, _ = gpu.Execute(cmd) // errors fine, panics not
 	}
+	_, _ = gpu.Execute(CmdFinish()) // and whatever is still recorded resolves
 }
 
 // TestExecuteNeverPanicsOnHostileDraws targets the draw paths with
@@ -68,6 +69,7 @@ func TestExecuteNeverPanicsOnHostileDraws(t *testing.T) {
 			_ = i
 		}
 	}
+	mustExec(t, gpu, CmdFinish())
 }
 
 // TestContextApplyNeverPanicsOnShortArgs drops each op's arguments
@@ -96,7 +98,7 @@ func TestDrawDropsTrianglesOutsideGuardBand(t *testing.T) {
 		gpu := setupDrawCtx(t, w, h)
 		gpu.SetParallelism(2)
 		mustExec(t, gpu, CmdClearColor(0.2, 0.3, 0.4, 1))
-		mustExec(t, gpu, CmdClear(ClearColorBit))
+		mustResolve(t, gpu, CmdClear(ClearColorBit))
 		if combo&1 != 0 {
 			mustExec(t, gpu, CmdEnable(CapBlend))
 		}
@@ -137,7 +139,7 @@ func TestDrawDropsTrianglesOutsideGuardBand(t *testing.T) {
 				verts := append([]float32(nil), tri...)
 				verts[i] = bad
 				mustExec(t, gpu, CmdVertexAttribPointerResolved(LocPosition, 3, 0, FloatsToBytes(verts)))
-				res := mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
+				res := mustResolve(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
 				what := fmt.Sprintf("combo %03b position[%d]=%v", combo, i, bad)
 				finiteZ := i%3 == 2 && !math.IsNaN(float64(bad)) && !math.IsInf(float64(bad), 0)
 				if dropped := check(gpu, before, res, what); !dropped && !finiteZ {
@@ -152,7 +154,7 @@ func TestDrawDropsTrianglesOutsideGuardBand(t *testing.T) {
 				m[i] = bad
 				mustExec(t, gpu, CmdUniformMatrix4fv(LocMVP, m))
 				mustExec(t, gpu, CmdVertexAttribPointerResolved(LocPosition, 3, 0, FloatsToBytes(tri)))
-				res := mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
+				res := mustResolve(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
 				check(gpu, before, res, fmt.Sprintf("combo %03b mvp[%d]=%v", combo, i, bad))
 			}
 		}
@@ -167,7 +169,7 @@ func TestDrawDropsTrianglesOutsideGuardBand(t *testing.T) {
 		verts := append([]float32(nil), tri...)
 		verts[3] = tc.x
 		mustExec(t, gpu, CmdVertexAttribPointerResolved(LocPosition, 3, 0, FloatsToBytes(verts)))
-		res := mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
+		res := mustResolve(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
 		if drew := res.Fragments != 0; drew != tc.draw || bytes.Equal(before, gpu.FB.Pix) == tc.draw {
 			t.Fatalf("vertex at NDC x=%v: shaded %d fragments, want drawn=%v", tc.x, res.Fragments, tc.draw)
 		}
@@ -246,6 +248,7 @@ func TestDrawNeverPanicsOnHostileAttributes(t *testing.T) {
 		if _, err := gpu.Execute(CmdDrawArrays(mode, 0, nVerts)); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		mustExec(t, gpu, CmdFinish())
 		if combo&8 != 0 {
 			for y := 0; y < h; y++ {
 				for x := 0; x < w; x++ {

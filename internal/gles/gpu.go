@@ -3,6 +3,8 @@ package gles
 import (
 	"encoding/binary"
 	"fmt"
+	"image"
+	"sync/atomic"
 
 	"github.com/gbooster/gbooster/internal/parallel"
 )
@@ -12,6 +14,13 @@ import (
 // commands into its local GPU (§IV-C). It also accounts the work each
 // command performs so callers can convert workload into GPU time via a
 // device's fillrate.
+//
+// Clears and draws are recorded, not rasterized, when they execute:
+// vertex fetch, transform and triangle set-up run then, and the
+// rasterization of the whole recording waits for a resolve — the
+// SwapBuffers, Flush or Finish that ends it, or a caller that drives
+// ResolveRows itself (the server fuses it into the frame's encode).
+// Until then FB holds the pixels of the last resolve.
 type GPU struct {
 	Ctx *Context
 	FB  *Framebuffer
@@ -21,11 +30,20 @@ type GPU struct {
 	// FramesCompleted counts SwapBuffers boundaries executed.
 	FramesCompleted int64
 
-	// par is the scanline-band rasterization degree; <= 1 keeps the
-	// serial path. Output is byte-identical at every degree.
+	// par is the row-band degree of a resolve; <= 1 keeps the serial
+	// path. Output is byte-identical at every degree.
 	par int
 
 	scratch drawScratch
+
+	// The recording: every clear and draw since the last resolve, in
+	// submission order, and the set-up triangles of its draws. Both are
+	// reused from frame to frame.
+	ops  []rasterOp
+	tris []triSetup
+	// resolved counts the fragments ResolveRows has shaded since the last
+	// Retire; band workers add to it concurrently.
+	resolved atomic.Int64
 }
 
 // NewGPU returns a GPU rendering into a w×h framebuffer with a fresh
@@ -35,61 +53,68 @@ func NewGPU(w, h int) *GPU {
 	return &GPU{Ctx: NewContext(), FB: NewFramebuffer(w, h)}
 }
 
-// SetParallelism sets the scanline-band worker degree for draw calls:
-// n <= 0 selects one band per CPU, 1 restores the serial path. Safe to
-// call between Execute calls, not concurrently with them.
+// SetParallelism sets the row-band worker degree of a resolve: n <= 0
+// selects one band per CPU, 1 restores the serial path. Safe to call
+// between Execute calls, not concurrently with them.
 func (g *GPU) SetParallelism(n int) {
 	g.par = parallel.Degree(n)
 }
 
 // ExecResult describes what one command did.
 type ExecResult struct {
-	// Fragments is the number of fragments shaded by the command (only
-	// draws and clears shade fragments).
+	// Fragments is the number of fragments the command shaded. A clear
+	// or a draw is recorded and shades none when it executes; the
+	// SwapBuffers, Flush or Finish that resolves the recording reports
+	// the fragments of everything recorded since the last resolve.
 	Fragments int64
 	// FrameDone reports that the command was a SwapBuffers boundary and
 	// the current framebuffer content is the finished frame.
 	FrameDone bool
 }
 
-// Execute runs one command: state commands mutate the context, draw
-// commands rasterize into the framebuffer. Errors are diagnostic; the
-// GPU remains usable, like a real driver raising GL_INVALID_OPERATION.
+// Execute runs one command: state commands mutate the context, clears
+// and draws are recorded, and SwapBuffers, Flush and Finish resolve the
+// recording into FB. Errors are diagnostic; the GPU remains usable,
+// like a real driver raising GL_INVALID_OPERATION.
 func (g *GPU) Execute(cmd Command) (ExecResult, error) {
+	res, err := g.Record(cmd)
+	if err == nil {
+		switch cmd.Op {
+		case OpSwapBuffers, OpFlush, OpFinish:
+			res.Fragments = g.Resolve()
+		}
+	}
+	return res, err
+}
+
+// Record is Execute without the resolve: SwapBuffers, Flush and Finish
+// leave the recording for the caller, who must resolve it — with
+// Resolve, or with ResolveRows over every row and then Retire — before
+// FB is read or the GPU is used elsewhere.
+func (g *GPU) Record(cmd Command) (ExecResult, error) {
 	var res ExecResult
 	if err := g.Ctx.Apply(cmd); err != nil {
 		return res, fmt.Errorf("apply %v: %w", cmd.Op, err)
 	}
 	switch cmd.Op {
 	case OpClear:
-		mask := cmd.Int(0)
-		if mask&ClearColorBit != 0 {
-			res.Fragments = g.clearColor()
-		}
-		if mask&ClearDepthBit != 0 {
-			g.FB.ClearDepthBuf()
-		}
+		g.recordClear(cmd.Int(0))
 	case OpDrawArrays:
-		n, err := g.draw(cmd.Int(0), int(cmd.Int(1)), int(cmd.Int(2)), nil)
-		if err != nil {
+		if err := g.draw(cmd.Int(0), int(cmd.Int(1)), int(cmd.Int(2)), nil); err != nil {
 			return res, fmt.Errorf("drawArrays: %w", err)
 		}
-		res.Fragments = n
 	case OpDrawElements:
 		indices, err := g.drawIndices(cmd)
 		if err != nil {
 			return res, err
 		}
-		n, err := g.draw(cmd.Int(0), 0, 0, indices)
-		if err != nil {
+		if err := g.draw(cmd.Int(0), 0, 0, indices); err != nil {
 			return res, fmt.Errorf("drawElements: %w", err)
 		}
-		res.Fragments = n
 	case OpSwapBuffers:
 		g.FramesCompleted++
 		res.FrameDone = true
 	}
-	g.FragmentsShaded += res.Fragments
 	return res, nil
 }
 
@@ -107,15 +132,77 @@ func (g *GPU) ExecuteAll(cmds []Command) (ExecResult, error) {
 	return total, nil
 }
 
-// clearColor clears the color buffer inside the clip rectangle draws
-// use — glClear is scissored when GL_SCISSOR_TEST is on — and returns
-// the pixels cleared.
-func (g *GPU) clearColor() int64 {
+// Resolve rasterizes the recording into FB — in row bands across par
+// workers, one fan-out for everything recorded — retires it and returns
+// the fragments shaded.
+func (g *GPU) Resolve() int64 {
+	if len(g.ops) > 0 {
+		if g.par > 1 {
+			parallel.Do(g.par, g.FB.H, func(lo, hi int) { g.ResolveRows(lo, hi) })
+		} else {
+			g.ResolveRows(0, g.FB.H)
+		}
+	}
+	return g.Retire()
+}
+
+// ResolveRows replays the recording, in submission order, clipped to
+// rows [y0, y1) of FB, and returns the fragments shaded. Every pixel
+// belongs to exactly one row, so however the rows are split the
+// per-pixel sequence of depth tests and blends is the serial one, and
+// calls on disjoint rows may run concurrently (sort-middle style). The
+// recording stays in place until Retire; each row must be resolved
+// exactly once before it.
+func (g *GPU) ResolveRows(y0, y1 int) int64 {
+	fb := g.FB
+	rows := image.Rect(0, y0, fb.W, y1)
+	var shaded int64
+	for i := range g.ops {
+		op := &g.ops[i]
+		if op.draw {
+			if op.box.Overlaps(rows) {
+				shaded += op.rasterBand(fb, g.tris, y0, y1)
+			}
+			continue
+		}
+		if r := op.box.Intersect(rows); !r.Empty() {
+			fb.clearRect(r, op.color[0], op.color[1], op.color[2], op.color[3])
+			shaded += int64(r.Dx() * r.Dy())
+		}
+		if op.depthClear && fb.Depth != nil {
+			fillDepth(fb.Depth[y0*fb.W : y1*fb.W])
+		}
+	}
+	g.resolved.Add(shaded)
+	return shaded
+}
+
+// Retire ends a resolve: once ResolveRows has covered every row, it
+// drops the recording and returns the fragments those calls shaded,
+// which it adds to FragmentsShaded.
+func (g *GPU) Retire() int64 {
+	clear(g.ops) // a draw pins the texels it sampled; let them go
+	g.ops, g.tris = g.ops[:0], g.tris[:0]
+	n := g.resolved.Swap(0)
+	g.FragmentsShaded += n
+	return n
+}
+
+// recordClear records a glClear. The color buffer is cleared inside the
+// clip rectangle draws use — glClear is scissored when
+// GL_SCISSOR_TEST is on — and the depth buffer whole.
+func (g *GPU) recordClear(mask int32) {
 	ctx, fb := g.Ctx, g.FB
-	r := clipRect(fb.W, fb.H, ctx.Caps[CapScissorTest],
-		int(ctx.ScissorX), int(ctx.ScissorY), int(ctx.ScissorW), int(ctx.ScissorH))
-	fb.clearRect(r, clamp8(ctx.ClearR), clamp8(ctx.ClearG), clamp8(ctx.ClearB), clamp8(ctx.ClearA))
-	return int64(r.Dx() * r.Dy())
+	op := rasterOp{depthClear: mask&ClearDepthBit != 0}
+	if mask&ClearColorBit != 0 {
+		op.box = clipRect(fb.W, fb.H, ctx.Caps[CapScissorTest],
+			int(ctx.ScissorX), int(ctx.ScissorY), int(ctx.ScissorW), int(ctx.ScissorH))
+		op.color = [4]uint8{clamp8(ctx.ClearR), clamp8(ctx.ClearG), clamp8(ctx.ClearB), clamp8(ctx.ClearA)}
+	}
+	if op.box.Empty() && !op.depthClear {
+		return
+	}
+	g.ops = append(g.ops, op)
 }
 
 // drawIndices resolves the index array for a DrawElements call, either

@@ -5,9 +5,6 @@ import (
 	"image"
 	"image/color"
 	"math"
-	"sync/atomic"
-
-	"github.com/gbooster/gbooster/internal/parallel"
 )
 
 // Framebuffer is an RGBA8 render target with an optional depth buffer.
@@ -69,8 +66,13 @@ func fillRGBA(pix []byte, r, g, b, a uint8) {
 // ClearDepthBuf resets the depth buffer to the far plane. Before the
 // first depth-tested draw there is no buffer and nothing to reset.
 func (fb *Framebuffer) ClearDepthBuf() {
-	for i := range fb.Depth {
-		fb.Depth[i] = 1
+	fillDepth(fb.Depth)
+}
+
+// fillDepth sets every depth of d to the far plane.
+func fillDepth(d []float32) {
+	for i := range d {
+		d[i] = 1
 	}
 }
 
@@ -203,10 +205,10 @@ func (st *rasterState) transform(px, py, pz float32) (x, y, z float32) {
 	return x, y, nz
 }
 
-// drawScratch is the working set of one draw call. The GPU owns it and
-// reuses it, so a draw allocates nothing once the slices have grown to
-// the stream's largest draw; band workers read it and write only their
-// own framebuffer rows.
+// drawScratch is the working set of one draw call while it is
+// recorded. The GPU owns it and reuses it, so recording a draw
+// allocates nothing once the slices have grown to the stream's largest
+// draw.
 type drawScratch struct {
 	st rasterState
 
@@ -217,70 +219,60 @@ type drawScratch struct {
 
 	idx   []uint16
 	verts []vertex
-	tris  []triSetup
-
-	// The sampler's constants, read once per draw.
-	texPix     []byte
-	texW, texH int
-	texFW      float32
-	texFH      float32
 }
 
-// minParallelPixels is the clipped bounding-box area, summed over a
-// draw's triangles, below which the draw is rasterized on the calling
-// goroutine. It is a property of the draw, not of the framebuffer: a
-// sprite never pays for a fan-out and a full-screen triangle always gets
-// one. On the 2-CPU reference host a blended textured quad split across
-// two bands breaks even near 5 Ki box pixels (a 50-pixel side); at 16 Ki
-// (a 90-pixel side) the split draw takes 0.65x the serial time, and
-// below 2 Ki it takes 1.4-1.7x. DESIGN.md §10 has the table.
-const minParallelPixels = 16 << 10
-
-// fanOut reports whether a draw covering boxPixels bounding-box pixels
-// is split across par band workers.
-func fanOut(par, boxPixels int) bool {
-	return par > 1 && boxPixels >= minParallelPixels
+// sampler is a draw's texture as the shader reads it; pix is nil for an
+// untextured draw. A draw keeps the pixel slice it was issued against:
+// TexImage2D replaces a texture's slice rather than writing into it, so
+// a later upload never reaches an earlier recorded draw.
+type sampler struct {
+	pix    []byte
+	w, h   int
+	fw, fh float32
 }
 
-// draw rasterizes one draw call into g.FB and returns the number of
-// fragments shaded — the quantity the fillrate-based GPU-time model
-// consumes. indices selects an indexed draw; otherwise vertices
-// [first, first+count) are drawn.
-//
-// A draw at or above minParallelPixels splits the rows it touches into
-// contiguous bands; every band rasterizes the full triangle list, in
-// submission order, clipped to its own rows (sort-middle style). Each
-// pixel is owned by exactly one band, so the per-pixel sequence of
-// depth tests and blends is exactly the serial one and the output is
-// byte-identical at every degree — the determinism tests assert this on
-// Pix and Depth both.
-func (g *GPU) draw(mode int32, first, count int, indices []uint16) (int64, error) {
+// rasterOp is one recorded clear or draw: everything its rasterization
+// reads, fixed when it was recorded.
+type rasterOp struct {
+	// draw selects between the two kinds. A draw rasterizes the
+	// triangles [lo, hi) of the GPU's arena; a clear fills box with
+	// color and, when depthClear is set, resets the depth buffer.
+	draw bool
+	// box bounds the pixels the op may write: the union of a draw's
+	// triangle boxes, or the clip rectangle a color clear fills (empty
+	// for a depth-only clear).
+	box image.Rectangle
+
+	lo, hi    int
+	blend     bool
+	depthTest bool
+	tex       sampler
+
+	color      [4]uint8
+	depthClear bool
+}
+
+// draw records one draw call: it fetches, transforms and sets up the
+// draw's triangles into the GPU's arena, and records the state their
+// rasterization needs. indices selects an indexed draw; otherwise
+// vertices [first, first+count) are drawn.
+func (g *GPU) draw(mode int32, first, count int, indices []uint16) error {
 	d, fb := &g.scratch, g.FB
 	d.st = g.Ctx.rasterState()
 	if err := g.gatherVertices(first, count, indices); err != nil {
-		return 0, err
+		return err
 	}
 	if d.st.depthTest && fb.Depth == nil {
-		// Allocated here, before the band fan-out, so no worker races to
-		// create it.
+		// Allocated here, before any resolve, so no band worker races to
+		// create it. Clears recorded earlier reset it to the same 1s.
 		fb.Depth = make([]float32, fb.W*fb.H)
 		fb.ClearDepthBuf()
 	}
-	rows, boxPixels := d.setup(fb, mode)
-	if len(d.tris) == 0 {
-		return 0, nil
+	var op rasterOp
+	if op, g.tris = d.setup(g.tris, fb, mode); op.hi > op.lo {
+		g.ops = append(g.ops, op)
 	}
-	if !fanOut(g.par, boxPixels) {
-		return d.rasterBand(fb, rows.Min.Y, rows.Max.Y), nil
-	}
-	var total int64
-	parallel.Do(g.par, rows.Max.Y-rows.Min.Y, func(lo, hi int) {
-		// Per-pixel work is disjoint across bands; only the fragment
-		// counter is shared. Integer addition commutes, so the total
-		// matches the serial count exactly.
-		atomic.AddInt64(&total, d.rasterBand(fb, rows.Min.Y+lo, rows.Min.Y+hi))
-	})
-	return total, nil
+	return nil
 }
 
 // gatherVertices builds the draw's post-transform vertex list in
@@ -385,9 +377,9 @@ type edgeSetup struct {
 }
 
 // triSetup is one triangle, winding-normalized, with everything that is
-// constant across its pixels computed once per draw rather than once
-// per band. Edge i is opposite vertex i, so its edge function scaled by
-// inv is vertex i's barycentric weight.
+// constant across its pixels computed once, when its draw is recorded,
+// rather than once per band. Edge i is opposite vertex i, so its edge
+// function scaled by inv is vertex i's barycentric weight.
 type triSetup struct {
 	v0, v1, v2 vertex
 	e          [3]edgeSetup
@@ -459,30 +451,28 @@ func (e *edgeSetup) init(a, b *vertex) {
 }
 
 // setup reads what d.st holds constant for the draw — the clip
-// rectangle and the sampler — and expands d.verts into d.tris, honoring
-// strip winding (odd strip triangles swap the leading pair so both
-// orders rasterize consistently) and dropping triangles that cannot
-// cover a pixel. It returns the union of the kept triangles' boxes and
-// the sum of their areas.
-func (d *drawScratch) setup(fb *Framebuffer, mode int32) (union image.Rectangle, boxPixels int) {
+// rectangle, the sampler and the blend and depth switches — and expands
+// d.verts into triangles appended to tris, honoring strip winding (odd
+// strip triangles swap the leading pair so both orders rasterize
+// consistently) and dropping triangles that cannot cover a pixel. It
+// returns the op that rasterizes the kept triangles, tris[op.lo:op.hi],
+// and the grown tris.
+func (d *drawScratch) setup(tris []triSetup, fb *Framebuffer, mode int32) (rasterOp, []triSetup) {
 	st := &d.st
+	op := rasterOp{draw: true, lo: len(tris), blend: st.blend, depthTest: st.depthTest}
 	clip := clipRect(fb.W, fb.H, st.scissor, st.scX, st.scY, st.scW, st.scH)
-	d.texPix = nil
 	if t := st.tex; t != nil && t.Width > 0 && t.Height > 0 {
-		d.texPix, d.texW, d.texH = t.Pixels, t.Width, t.Height
-		d.texFW, d.texFH = float32(t.Width), float32(t.Height)
+		op.tex = sampler{pix: t.Pixels, w: t.Width, h: t.Height, fw: float32(t.Width), fh: float32(t.Height)}
 	}
-	d.tris = d.tris[:0]
 	verts := d.verts
 	add := func(a, b, c *vertex) {
-		d.tris = append(d.tris, triSetup{})
-		t := &d.tris[len(d.tris)-1]
+		tris = append(tris, triSetup{})
+		t := &tris[len(tris)-1]
 		if !t.init(a, b, c, clip) {
-			d.tris = d.tris[:len(d.tris)-1]
+			tris = tris[:len(tris)-1]
 			return
 		}
-		union = union.Union(t.box)
-		boxPixels += t.box.Dx() * t.box.Dy()
+		op.box = op.box.Union(t.box)
 	}
 	switch mode {
 	case DrawModeTriStrip:
@@ -498,11 +488,13 @@ func (d *drawScratch) setup(fb *Framebuffer, mode int32) (union image.Rectangle,
 			add(&verts[i], &verts[i+1], &verts[i+2])
 		}
 	}
-	return union, boxPixels
+	op.hi = len(tris)
+	return op, tris
 }
 
-// rasterBand rasterizes the draw's triangles, in submission order,
-// restricted to rows [yLo, yHi), and returns the fragments shaded.
+// rasterBand rasterizes the draw's triangles, arena[op.lo:op.hi], in
+// submission order, restricted to rows [yLo, yHi), and returns the
+// fragments shaded.
 //
 // Per scanline it solves each edge function for the columns where the
 // fill rule holds. An edge value is a chain of correctly rounded
@@ -511,10 +503,11 @@ func (d *drawScratch) setup(fb *Framebuffer, mode int32) (union image.Rectangle,
 // ray; narrow finds the ray's end by evaluating the very predicate the
 // per-pixel rasterizer evaluated, so the span is exactly the set of
 // pixels that rasterizer shaded.
-func (d *drawScratch) rasterBand(fb *Framebuffer, yLo, yHi int) int64 {
+func (op *rasterOp) rasterBand(fb *Framebuffer, arena []triSetup, yLo, yHi int) int64 {
 	var shaded int64
-	for i := range d.tris {
-		t := &d.tris[i]
+	tris := arena[op.lo:op.hi]
+	for i := range tris {
+		t := &tris[i]
 		y1 := min(t.box.Max.Y, yHi)
 		for y := max(t.box.Min.Y, yLo); y < y1; y++ {
 			fy := float32(y) + 0.5
@@ -529,10 +522,10 @@ func (d *drawScratch) rasterBand(fb *Framebuffer, yLo, yHi int) int64 {
 			}
 			switch {
 			case x0 >= x1:
-			case d.st.depthTest:
-				shaded += d.depthSpan(fb, t, &rowC, y, x0, x1)
+			case op.depthTest:
+				shaded += op.depthSpan(fb, t, &rowC, y, x0, x1)
 			default:
-				d.colorSpan(fb, t, &rowC, y, x0, x1)
+				op.colorSpan(fb, t, &rowC, y, x0, x1)
 				shaded += int64(x1 - x0)
 			}
 		}
@@ -605,7 +598,7 @@ func (e *edgeSetup) settle(rowC, inv float32, rising bool, guess, x0, x1 int) in
 // triangle, writes the depths that pass, colors each run of passing
 // columns and returns how many passed. Pixels are independent of one
 // another, so testing a run before coloring it changes no result.
-func (d *drawScratch) depthSpan(fb *Framebuffer, t *triSetup, rowC *[3]float32, y, x0, x1 int) int64 {
+func (op *rasterOp) depthSpan(fb *Framebuffer, t *triSetup, rowC *[3]float32, y, x0, x1 int) int64 {
 	depth := fb.Depth[y*fb.W : (y+1)*fb.W]
 	e0, e1, e2 := &t.e[0], &t.e[1], &t.e[2]
 	var passed int64
@@ -617,7 +610,7 @@ func (d *drawScratch) depthSpan(fb *Framebuffer, t *triSetup, rowC *[3]float32, 
 		z := w0*t.v0.z + w1*t.v1.z + w2*t.v2.z
 		if z > depth[x] {
 			if run < x {
-				d.colorSpan(fb, t, rowC, y, run, x)
+				op.colorSpan(fb, t, rowC, y, run, x)
 				passed += int64(x - run)
 			}
 			run = x + 1
@@ -626,7 +619,7 @@ func (d *drawScratch) depthSpan(fb *Framebuffer, t *triSetup, rowC *[3]float32, 
 		depth[x] = z
 	}
 	if run < x1 {
-		d.colorSpan(fb, t, rowC, y, run, x1)
+		op.colorSpan(fb, t, rowC, y, run, x1)
 		passed += int64(x1 - run)
 	}
 	return passed
@@ -635,12 +628,12 @@ func (d *drawScratch) depthSpan(fb *Framebuffer, t *triSetup, rowC *[3]float32, 
 // colorSpan writes the color of columns [x0, x1) of row y with the span
 // routine the draw's state selects. Both routines evaluate the
 // per-pixel rasterizer's expressions in its order.
-func (d *drawScratch) colorSpan(fb *Framebuffer, t *triSetup, rowC *[3]float32, y, x0, x1 int) {
+func (op *rasterOp) colorSpan(fb *Framebuffer, t *triSetup, rowC *[3]float32, y, x0, x1 int) {
 	pix := fb.Pix[(y*fb.W+x0)*4 : (y*fb.W+x1)*4]
-	if d.texPix != nil {
-		d.spanTextured(pix, t, rowC, x0)
+	if op.tex.pix != nil {
+		op.spanTextured(pix, t, rowC, x0)
 	} else {
-		d.spanFlat(pix, t, rowC, x0)
+		op.spanFlat(pix, t, rowC, x0)
 	}
 }
 
@@ -648,8 +641,8 @@ func (d *drawScratch) colorSpan(fb *Framebuffer, t *triSetup, rowC *[3]float32, 
 // interpolated vertex color. The weights are edgeSetup.weight written
 // out: calling it three times makes the compiler spill fx, which costs
 // 8 % of the loop.
-func (d *drawScratch) spanFlat(pix []byte, t *triSetup, rowC *[3]float32, x0 int) {
-	blend := d.st.blend
+func (op *rasterOp) spanFlat(pix []byte, t *triSetup, rowC *[3]float32, x0 int) {
+	blend := op.blend
 	v0, v1, v2 := &t.v0, &t.v1, &t.v2
 	e0, e1, e2 := &t.e[0], &t.e[1], &t.e[2]
 	c0, c1, c2, inv := rowC[0], rowC[1], rowC[2], t.inv
@@ -675,12 +668,12 @@ func (d *drawScratch) spanFlat(pix []byte, t *triSetup, rowC *[3]float32, x0 int
 
 // spanTextured is spanFlat with the color modulated by the draw's
 // texture, sampled at the interpolated texture coordinates.
-func (d *drawScratch) spanTextured(pix []byte, t *triSetup, rowC *[3]float32, x0 int) {
+func (op *rasterOp) spanTextured(pix []byte, t *triSetup, rowC *[3]float32, x0 int) {
 	v0, v1, v2 := &t.v0, &t.v1, &t.v2
 	e0, e1, e2 := &t.e[0], &t.e[1], &t.e[2]
 	c0, c1, c2, inv := rowC[0], rowC[1], rowC[2], t.inv
-	blend := d.st.blend
-	texPix, texW, texH, texFW, texFH := d.texPix, d.texW, d.texH, d.texFW, d.texFH
+	blend := op.blend
+	texPix, texW, texH, texFW, texFH := op.tex.pix, op.tex.w, op.tex.h, op.tex.fw, op.tex.fh
 	for i := 0; i < len(pix)/4; i++ {
 		fx := float32(x0+i) + 0.5
 		w0 := float32(c0-float32(e0.dy*(fx-e0.ax))) * inv

@@ -3,6 +3,7 @@ package gles
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -106,6 +107,7 @@ func renderScene(t *testing.T, w, h, par int, seed uint64) *GPU {
 	mustExec(t, gpu, CmdVertexAttribPointerResolved(LocPosition, 3, 0, FloatsToBytes(soup3)))
 	mustExec(t, gpu, CmdDisableVertexAttribArray(LocTexCoord))
 	mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, int32(len(soup3)/3)))
+	mustExec(t, gpu, CmdFinish())
 	return gpu
 }
 
@@ -136,60 +138,146 @@ func TestParallelRasterByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFanOutFollowsDrawSize: whether a draw is split across band
-// workers depends on the pixels the draw covers, not on the framebuffer
-// it lands in. A sprite-sized draw on a large framebuffer stays on the
-// calling goroutine, a screen-filling one fans out, and both produce the
-// serial render's bytes and fragment count.
-func TestFanOutFollowsDrawSize(t *testing.T) {
-	for _, tc := range []struct {
-		par, boxPixels int
-		want           bool
-	}{
-		{1, 1 << 30, false},
-		{2, 0, false},
-		{2, 2 * 27 * 27, false}, // a G1 sprite quad
-		{2, minParallelPixels - 1, false},
-		{2, minParallelPixels, true},
-		{8, 2 * 1280 * 720, true},
-	} {
-		if got := fanOut(tc.par, tc.boxPixels); got != tc.want {
-			t.Errorf("fanOut(par=%d, boxPixels=%d) = %v, want %v", tc.par, tc.boxPixels, got, tc.want)
+// resolveFrame is a stream that crosses every place a recorded frame
+// can go wrong: a depth clear between depth-tested draws, a scissored
+// clear between draws, a texture re-uploaded after a draw that sampled
+// it — left half red, right half blue, so the re-upload is visible —
+// and, after SwapBuffers, draws of the next frame. The draws before the
+// swap are in head, the rest in tail.
+func resolveFrame(rng *sim.RNG, w, h int) (head, tail []Command) {
+	solid := func(r, g, b byte) []byte { return bytes.Repeat([]byte{r, g, b, 255}, 4) }
+	left := FloatsToBytes([]float32{-0.9, -0.9, -0.1, -0.9, -0.9, 0.9, -0.1, -0.9, -0.1, 0.9, -0.9, 0.9})
+	right := FloatsToBytes([]float32{0.1, -0.9, 0.9, -0.9, 0.1, 0.9, 0.9, -0.9, 0.9, 0.9, 0.1, 0.9})
+	uvs := FloatsToBytes([]float32{0, 0, 1, 0, 0, 1, 1, 0, 1, 1, 0, 1})
+	soup := func(n int) []Command {
+		verts := triangleSoup(rng, n)
+		return []Command{
+			CmdVertexAttribPointerResolved(LocPosition, 3, 0, FloatsToBytes(verts)),
+			CmdDrawArrays(DrawModeTriangles, 0, int32(len(verts)/3)),
 		}
 	}
-
-	const w, h = 600, 480
-	quad := func(size float32) []byte {
-		return FloatsToBytes([]float32{-size, -size, size, -size, -size, size, size, -size, size, size, -size, size})
+	head = []Command{
+		CmdClearColor(0.1, 0.2, 0.3, 1),
+		CmdClear(ClearColorBit | ClearDepthBit),
+		CmdEnableVertexAttribArray(LocPosition),
+		CmdEnable(CapDepthTest),
+		CmdUniform4f(LocTint, 0.9, 0.4, 0.2, 1),
 	}
-	for _, tc := range []struct {
-		name    string
-		size    float32
-		fansOut bool
-	}{{"sprite", 0.05, false}, {"fullscreen", 1, true}} {
-		var ref *GPU
-		for _, par := range []int{1, 8} {
+	head = append(head, soup(30)...)
+	head = append(head, CmdClear(ClearDepthBit), CmdUniform4f(LocTint, 0.2, 0.9, 0.4, 1))
+	head = append(head, soup(30)...)
+	head = append(head,
+		CmdEnable(CapScissorTest),
+		CmdScissor(int32(w/3), int32(h/5), int32(w/2), int32(h/3)),
+		CmdClearColor(0.8, 0.8, 0.1, 1),
+		CmdClear(ClearColorBit),
+		CmdDisable(CapScissorTest),
+		CmdEnable(CapBlend),
+		CmdBlendFunc(BlendSrcAlpha, BlendOneMinusSrcA),
+		CmdUniform4f(LocTint, 0.3, 0.3, 1, 0.5),
+	)
+	head = append(head, soup(20)...)
+	head = append(head,
+		CmdDisable(CapDepthTest),
+		CmdDisable(CapBlend),
+		CmdUniform4f(LocTint, 1, 1, 1, 1),
+		CmdGenTexture(1),
+		CmdBindTexture(TexTarget2D, 1),
+		CmdUniform1i(LocSampler, 0),
+		CmdTexImage2D(TexTarget2D, 0, 2, 2, solid(255, 0, 0)),
+		CmdVertexAttribPointerResolved(LocTexCoord, 2, 0, uvs),
+		CmdEnableVertexAttribArray(LocTexCoord),
+		CmdVertexAttribPointerResolved(LocPosition, 2, 0, left),
+		CmdDrawArrays(DrawModeTriangles, 0, 6),
+		CmdTexImage2D(TexTarget2D, 0, 2, 2, solid(0, 0, 255)),
+		CmdVertexAttribPointerResolved(LocPosition, 2, 0, right),
+		CmdDrawArrays(DrawModeTriangles, 0, 6),
+		CmdDisableVertexAttribArray(LocTexCoord),
+		CmdBindTexture(TexTarget2D, 0),
+	)
+	tail = []Command{CmdEnable(CapBlend), CmdUniform4f(LocTint, 1, 0.5, 0.1, 0.6)}
+	tail = append(tail, soup(15)...)
+	return head, tail
+}
+
+// TestFrameResolveByteIdentical is the frame-level determinism
+// property: a frame recorded whole and resolved in row bands at degree
+// 1, 2, 3 or 4 leaves the color buffer, the depth buffer and the
+// fragment count exactly as rasterizing every clear and draw the moment
+// it executes would. Draws after SwapBuffers in the same ExecuteAll are
+// not in the swapped frame; the next resolve adds them.
+func TestFrameResolveByteIdentical(t *testing.T) {
+	const w, h = 160, 120
+	type state struct {
+		pix   []byte
+		depth []float32
+		frags int64
+	}
+	snap := func(gpu *GPU) state {
+		return state{append([]byte(nil), gpu.FB.Pix...), append([]float32(nil), gpu.FB.Depth...), gpu.FragmentsShaded}
+	}
+	same := func(a, b state) bool {
+		if !bytes.Equal(a.pix, b.pix) || a.frags != b.frags || len(a.depth) != len(b.depth) {
+			return false
+		}
+		for i := range a.depth {
+			if math.Float32bits(a.depth[i]) != math.Float32bits(b.depth[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		head, tail := resolveFrame(sim.NewRNG(seed), w, h)
+
+		// The reference resolves after every command, serially.
+		eager := setupDrawCtx(t, w, h)
+		for _, cmd := range head {
+			mustResolve(t, eager, cmd)
+			if cmd.Op == OpClear && cmd.Int(0)&ClearDepthBit != 0 {
+				for i, z := range eager.FB.Depth {
+					if z != 1 {
+						t.Fatalf("seed %d: depth %d is %v after a depth clear", seed, i, z)
+					}
+				}
+			}
+		}
+		if r, _, b, _ := eager.FB.At(w/4, h/2); r != 255 || b != 0 {
+			t.Fatalf("seed %d: the draw before the re-upload is not red", seed)
+		}
+		if r, _, b, _ := eager.FB.At(3*w/4, h/2); r != 0 || b != 255 {
+			t.Fatalf("seed %d: the draw after the re-upload is not blue", seed)
+		}
+		atSwap := snap(eager)
+		for _, cmd := range tail {
+			mustResolve(t, eager, cmd)
+		}
+		final := snap(eager)
+		for _, par := range []int{1, 2, 3, 4} {
 			gpu := setupDrawCtx(t, w, h)
 			gpu.SetParallelism(par)
-			mustExec(t, gpu, CmdEnable(CapBlend))
-			mustExec(t, gpu, CmdUniform4f(LocTint, 0.9, 0.5, 0.1, 0.6))
-			mustExec(t, gpu, CmdVertexAttribPointerResolved(LocPosition, 2, 0, quad(tc.size)))
-			mustExec(t, gpu, CmdEnableVertexAttribArray(LocPosition))
-			mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 6))
-			boxPixels := 0
-			for i := range gpu.scratch.tris {
-				boxPixels += gpu.scratch.tris[i].box.Dx() * gpu.scratch.tris[i].box.Dy()
+			for _, cmd := range head {
+				if res := mustExec(t, gpu, cmd); res.Fragments != 0 {
+					t.Fatalf("seed %d par=%d: recording %v shaded %d fragments", seed, par, cmd, res.Fragments)
+				}
 			}
-			if got := fanOut(par, boxPixels); got != (tc.fansOut && par > 1) {
-				t.Fatalf("%s par=%d: %d box pixels, fanOut=%v", tc.name, par, boxPixels, got)
+			gpu = setupDrawCtx(t, w, h)
+			gpu.SetParallelism(par)
+			res, err := gpu.ExecuteAll(append(append(append([]Command(nil), head...), CmdSwapBuffers()), tail...))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if ref == nil {
-				ref = gpu
-				continue
+			if !res.FrameDone || res.Fragments != atSwap.frags {
+				t.Fatalf("seed %d par=%d: ExecuteAll reported %+v, want %d fragments", seed, par, res, atSwap.frags)
 			}
-			if !bytes.Equal(ref.FB.Pix, gpu.FB.Pix) || ref.FragmentsShaded != gpu.FragmentsShaded {
-				t.Fatalf("%s: par=%d render diverged from serial (%d vs %d fragments)",
-					tc.name, par, gpu.FragmentsShaded, ref.FragmentsShaded)
+			if !same(snap(gpu), atSwap) {
+				t.Fatalf("seed %d par=%d: swapped frame differs from rasterizing every command as it executes", seed, par)
+			}
+			if res := mustExec(t, gpu, CmdFinish()); res.Fragments != final.frags-atSwap.frags {
+				t.Fatalf("seed %d par=%d: Finish reported %d fragments, want %d", seed, par, res.Fragments, final.frags-atSwap.frags)
+			}
+			if !same(snap(gpu), final) {
+				t.Fatalf("seed %d par=%d: draws after SwapBuffers resolved differently", seed, par)
 			}
 		}
 	}
@@ -211,14 +299,15 @@ func TestGPUSetParallelismDegree(t *testing.T) {
 	}
 }
 
-// BenchmarkRaster measures fill throughput across worker degrees on the
-// two draw shapes that sit either side of the fan-out floor: a
-// 120-triangle soup at the paper's streaming resolution, whose one draw
-// covers the screen many times over and must speed up with a second
-// core, and a G1-shaped frame of one clear plus 120 textured 27-pixel
-// sprite quads, each a draw far too small to split, which must cost the
-// same at every degree. The par=1 series is the serial reference the
-// parallel degrees are compared against.
+// BenchmarkRaster measures fill throughput across worker degrees on two
+// frame shapes: a 120-triangle soup at 1280x720, whose one draw covers
+// the screen many times over, and a G1-shaped frame of one clear plus
+// 120 textured 27-pixel sprite quads at the paper's streaming
+// resolution. Every iteration ends with SwapBuffers, so it times the
+// resolve — the whole frame's raster in one fan-out of row bands — and
+// not only the recording. Both must get faster with a second core; the
+// par=1 series is the serial reference the parallel degrees are
+// compared against.
 func BenchmarkRaster(b *testing.B) {
 	const w, h = 1280, 720
 	rng := sim.NewRNG(11)
@@ -230,11 +319,13 @@ func BenchmarkRaster(b *testing.B) {
 			mustExec(b, gpu, CmdUniform4f(LocTint, 0.9, 0.5, 0.3, 1))
 			mustExec(b, gpu, CmdVertexAttribPointerResolved(LocPosition, 3, 0, FloatsToBytes(soup)))
 			mustExec(b, gpu, CmdEnableVertexAttribArray(LocPosition))
-			draw := CmdDrawArrays(DrawModeTriangles, 0, int32(len(soup)/3))
+			frame := []Command{CmdDrawArrays(DrawModeTriangles, 0, int32(len(soup)/3)), CmdSwapBuffers()}
 			b.SetBytes(int64(w * h * 4))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mustExec(b, gpu, draw)
+				for _, cmd := range frame {
+					mustExec(b, gpu, cmd)
+				}
 			}
 		})
 	}
@@ -242,7 +333,7 @@ func BenchmarkRaster(b *testing.B) {
 		b.Run(fmt.Sprintf("sprites-600x480/par=%d", par), func(b *testing.B) {
 			gpu := setupDrawCtx(b, 600, 480)
 			gpu.SetParallelism(par)
-			frame := spriteFrame(gpu, sim.NewRNG(12), 120, 27)
+			frame := append(spriteFrame(gpu, sim.NewRNG(12), 120, 27), CmdSwapBuffers())
 			b.SetBytes(600 * 480 * 4)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

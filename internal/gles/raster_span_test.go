@@ -16,6 +16,7 @@ type spanRig struct {
 	t        *testing.T
 	ref, got *Framebuffer
 	d        drawScratch
+	tris     []triSetup
 }
 
 func newSpanRig(t *testing.T, rng *sim.RNG, w, h int) *spanRig {
@@ -39,8 +40,9 @@ func (r *spanRig) draw(what string, st rasterState, v0, v1, v2 vertex, yLo, yHi 
 	want := rasterizeTriangleBand(r.ref, &st, v0, v1, v2, yLo, yHi)
 	r.d.st = st
 	r.d.verts = append(r.d.verts[:0], v0, v1, v2)
-	r.d.setup(r.got, DrawModeTriangles)
-	got := r.d.rasterBand(r.got, yLo, yHi)
+	var op rasterOp
+	op, r.tris = r.d.setup(r.tris[:0], r.got, DrawModeTriangles)
+	got := op.rasterBand(r.got, r.tris, yLo, yHi)
 	if got != want {
 		r.t.Fatalf("%s: shaded %d fragments, oracle %d\nv0=%+v\nv1=%+v\nv2=%+v\nstate=%+v rows=[%d,%d)",
 			what, got, want, v0, v1, v2, st, yLo, yHi)
@@ -277,7 +279,7 @@ func TestQuadHalvesShadeEachPixelOnce(t *testing.T) {
 	quad := FloatsToBytes([]float32{-0.5, -0.5, 0.5, -0.5, -0.5, 0.5, 0.5, -0.5, 0.5, 0.5, -0.5, 0.5})
 	mustExec(t, gpu, CmdVertexAttribPointerResolved(LocPosition, 2, 0, quad))
 	mustExec(t, gpu, CmdEnableVertexAttribArray(LocPosition))
-	res := mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 6))
+	res := mustResolve(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 6))
 	if res.Fragments != 32*32 {
 		t.Fatalf("quad shaded %d fragments, want %d", res.Fragments, 32*32)
 	}

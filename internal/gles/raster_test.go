@@ -36,7 +36,7 @@ func drawFullScreenQuad(t *testing.T, gpu *GPU) {
 	quad := FloatsToBytes([]float32{-1, -1, 1, -1, -1, 1, 1, -1, 1, 1, -1, 1})
 	mustExec(t, gpu, CmdVertexAttribPointerResolved(LocPosition, 2, 0, quad))
 	mustExec(t, gpu, CmdEnableVertexAttribArray(LocPosition))
-	mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 6))
+	mustResolve(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 6))
 }
 
 func mustExec(t testing.TB, gpu *GPU, cmd Command) ExecResult {
@@ -48,10 +48,20 @@ func mustExec(t testing.TB, gpu *GPU, cmd Command) ExecResult {
 	return res
 }
 
+// mustResolve executes cmd, then a Finish that resolves the recording
+// into the framebuffer, and returns cmd's result with the fragments the
+// resolve shaded: what cmd shaded, when nothing else was recorded.
+func mustResolve(t testing.TB, gpu *GPU, cmd Command) ExecResult {
+	t.Helper()
+	res := mustExec(t, gpu, cmd)
+	res.Fragments += mustExec(t, gpu, CmdFinish()).Fragments
+	return res
+}
+
 func TestClearFillsFramebuffer(t *testing.T) {
 	gpu := NewGPU(8, 8)
 	mustExec(t, gpu, CmdClearColor(1, 0, 0, 1))
-	res := mustExec(t, gpu, CmdClear(ClearColorBit|ClearDepthBit))
+	res := mustResolve(t, gpu, CmdClear(ClearColorBit|ClearDepthBit))
 	if res.Fragments != 64 {
 		t.Fatalf("clear fragments = %d, want 64", res.Fragments)
 	}
@@ -97,7 +107,7 @@ func TestDrawRespectsWindingNormalization(t *testing.T) {
 		mustExec(t, gpu, CmdUniform4f(LocTint, 1, 1, 1, 1))
 		mustExec(t, gpu, CmdVertexAttribPointerResolved(LocPosition, 2, 0, FloatsToBytes(verts)))
 		mustExec(t, gpu, CmdEnableVertexAttribArray(LocPosition))
-		res := mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
+		res := mustResolve(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
 		if res.Fragments == 0 {
 			t.Errorf("%s triangle shaded no fragments", name)
 		}
@@ -109,7 +119,7 @@ func TestDrawDegenerateTriangleShadesNothing(t *testing.T) {
 	line := FloatsToBytes([]float32{-1, -1, 0, 0, 1, 1}) // collinear
 	mustExec(t, gpu, CmdVertexAttribPointerResolved(LocPosition, 2, 0, line))
 	mustExec(t, gpu, CmdEnableVertexAttribArray(LocPosition))
-	res := mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
+	res := mustResolve(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
 	if res.Fragments != 0 {
 		t.Fatalf("degenerate triangle shaded %d fragments", res.Fragments)
 	}
@@ -120,7 +130,7 @@ func TestDrawOffscreenTriangleClipped(t *testing.T) {
 	off := FloatsToBytes([]float32{5, 5, 6, 5, 5, 6}) // entirely outside NDC
 	mustExec(t, gpu, CmdVertexAttribPointerResolved(LocPosition, 2, 0, off))
 	mustExec(t, gpu, CmdEnableVertexAttribArray(LocPosition))
-	res := mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
+	res := mustResolve(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
 	if res.Fragments != 0 {
 		t.Fatalf("offscreen triangle shaded %d fragments", res.Fragments)
 	}
@@ -137,7 +147,7 @@ func TestVertexColorInterpolation(t *testing.T) {
 	mustExec(t, gpu, CmdEnableVertexAttribArray(LocPosition))
 	mustExec(t, gpu, CmdVertexAttribPointerResolved(LocColor, 4, 0, colors))
 	mustExec(t, gpu, CmdEnableVertexAttribArray(LocColor))
-	mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 6))
+	mustResolve(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 6))
 	r, g, _, _ := gpu.FB.At(16, 16)
 	if r != 255 || g != 0 {
 		t.Fatalf("vertex-colored pixel = r%d g%d, want red", r, g)
@@ -157,7 +167,7 @@ func TestTexturedDraw(t *testing.T) {
 	mustExec(t, gpu, CmdEnableVertexAttribArray(LocPosition))
 	mustExec(t, gpu, CmdVertexAttribPointerResolved(LocTexCoord, 2, 0, uvs))
 	mustExec(t, gpu, CmdEnableVertexAttribArray(LocTexCoord))
-	mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 6))
+	mustResolve(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 6))
 	r, g, b, _ := gpu.FB.At(8, 8)
 	if r != 0 || g != 0 || b != 255 {
 		t.Fatalf("textured pixel = %d,%d,%d, want blue", r, g, b)
@@ -167,7 +177,7 @@ func TestTexturedDraw(t *testing.T) {
 func TestDepthTest(t *testing.T) {
 	gpu := setupDrawCtx(t, 16, 16)
 	mustExec(t, gpu, CmdEnable(CapDepthTest))
-	mustExec(t, gpu, CmdClear(ClearDepthBit))
+	mustResolve(t, gpu, CmdClear(ClearDepthBit))
 	tri := func(z float32) []byte {
 		return FloatsToBytes([]float32{-1, -1, z, 1, -1, z, 0, 1, z})
 	}
@@ -175,11 +185,11 @@ func TestDepthTest(t *testing.T) {
 	mustExec(t, gpu, CmdUniform4f(LocTint, 1, 0, 0, 1))
 	mustExec(t, gpu, CmdVertexAttribPointerResolved(LocPosition, 3, 0, tri(-0.5)))
 	mustExec(t, gpu, CmdEnableVertexAttribArray(LocPosition))
-	mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
+	mustResolve(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
 	// Far green triangle second must be rejected by the depth test.
 	mustExec(t, gpu, CmdUniform4f(LocTint, 0, 1, 0, 1))
 	mustExec(t, gpu, CmdVertexAttribPointerResolved(LocPosition, 3, 0, tri(0.5)))
-	res := mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
+	res := mustResolve(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
 	if res.Fragments != 0 {
 		t.Fatalf("occluded triangle shaded %d fragments", res.Fragments)
 	}
@@ -192,7 +202,7 @@ func TestDepthTest(t *testing.T) {
 func TestAlphaBlend(t *testing.T) {
 	gpu := setupDrawCtx(t, 8, 8)
 	mustExec(t, gpu, CmdClearColor(0, 0, 0, 1))
-	mustExec(t, gpu, CmdClear(ClearColorBit))
+	mustResolve(t, gpu, CmdClear(ClearColorBit))
 	mustExec(t, gpu, CmdEnable(CapBlend))
 	mustExec(t, gpu, CmdBlendFunc(BlendSrcAlpha, BlendOneMinusSrcA))
 	mustExec(t, gpu, CmdUniform4f(LocTint, 1, 1, 1, 0.5))
@@ -213,7 +223,7 @@ func TestMVPTransformTranslation(t *testing.T) {
 	tri := FloatsToBytes([]float32{-0.1, -0.1, 0.1, -0.1, 0, 0.1})
 	mustExec(t, gpu, CmdVertexAttribPointerResolved(LocPosition, 2, 0, tri))
 	mustExec(t, gpu, CmdEnableVertexAttribArray(LocPosition))
-	mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
+	mustResolve(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
 	leftLit, rightLit := 0, 0
 	for y := 0; y < 20; y++ {
 		for x := 0; x < 20; x++ {
@@ -237,7 +247,7 @@ func TestTriangleStripMode(t *testing.T) {
 	strip := FloatsToBytes([]float32{-1, -1, 1, -1, -1, 1, 1, 1})
 	mustExec(t, gpu, CmdVertexAttribPointerResolved(LocPosition, 2, 0, strip))
 	mustExec(t, gpu, CmdEnableVertexAttribArray(LocPosition))
-	res := mustExec(t, gpu, CmdDrawArrays(DrawModeTriStrip, 0, 4))
+	res := mustResolve(t, gpu, CmdDrawArrays(DrawModeTriStrip, 0, 4))
 	if res.Fragments < 16*16*9/10 {
 		t.Fatalf("strip quad shaded %d fragments, want near 256", res.Fragments)
 	}
@@ -249,7 +259,7 @@ func TestDrawElementsClientIndices(t *testing.T) {
 	verts := FloatsToBytes([]float32{-1, -1, 1, -1, 1, 1, -1, 1})
 	mustExec(t, gpu, CmdVertexAttribPointerResolved(LocPosition, 2, 0, verts))
 	mustExec(t, gpu, CmdEnableVertexAttribArray(LocPosition))
-	res := mustExec(t, gpu, CmdDrawElementsClient(DrawModeTriangles, []uint16{0, 1, 2, 0, 2, 3}))
+	res := mustResolve(t, gpu, CmdDrawElementsClient(DrawModeTriangles, []uint16{0, 1, 2, 0, 2, 3}))
 	if res.Fragments < 16*16*9/10 {
 		t.Fatalf("indexed quad shaded %d fragments", res.Fragments)
 	}
@@ -264,7 +274,7 @@ func TestDrawElementsVBOIndices(t *testing.T) {
 	mustExec(t, gpu, CmdGenBuffer(9))
 	mustExec(t, gpu, CmdBindBuffer(BufTargetElemArray, 9))
 	mustExec(t, gpu, CmdBufferData(BufTargetElemArray, U16ToBytes([]uint16{0, 1, 2, 0, 2, 3}), UsageStaticDraw))
-	res := mustExec(t, gpu, CmdDrawElementsVBO(DrawModeTriangles, 6, 0))
+	res := mustResolve(t, gpu, CmdDrawElementsVBO(DrawModeTriangles, 6, 0))
 	if res.Fragments < 16*16*9/10 {
 		t.Fatalf("VBO-indexed quad shaded %d fragments", res.Fragments)
 	}
@@ -414,7 +424,7 @@ func TestRasterizerDeterministicProperty(t *testing.T) {
 		tri := FloatsToBytes([]float32{-0.8, -0.8, 0.9, -0.4, 0, 0.9})
 		mustExec(t, gpu, CmdVertexAttribPointerResolved(LocPosition, 2, 0, tri))
 		mustExec(t, gpu, CmdEnableVertexAttribArray(LocPosition))
-		mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
+		mustResolve(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 3))
 		return gpu.FB.Pix
 	}
 	a, b := run(), run()
@@ -452,7 +462,7 @@ func TestScissorClipsDraws(t *testing.T) {
 	}
 	// Disable: full screen again.
 	mustExec(t, gpu, CmdDisable(CapScissorTest))
-	res := mustExec(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 6))
+	res := mustResolve(t, gpu, CmdDrawArrays(DrawModeTriangles, 0, 6))
 	if res.Fragments < 200 {
 		t.Fatalf("unscissored redraw shaded %d fragments", res.Fragments)
 	}
@@ -465,11 +475,11 @@ func TestScissorClipsDraws(t *testing.T) {
 func TestScissoredClear(t *testing.T) {
 	gpu := NewGPU(16, 16)
 	mustExec(t, gpu, CmdClearColor(0, 0, 1, 1))
-	mustExec(t, gpu, CmdClear(ClearColorBit)) // full clear to blue
+	mustResolve(t, gpu, CmdClear(ClearColorBit)) // full clear to blue
 	mustExec(t, gpu, CmdEnable(CapScissorTest))
 	mustExec(t, gpu, CmdScissor(4, 4, 8, 8))
 	mustExec(t, gpu, CmdClearColor(1, 0, 0, 1))
-	res := mustExec(t, gpu, CmdClear(ClearColorBit)) // red only in rect
+	res := mustResolve(t, gpu, CmdClear(ClearColorBit)) // red only in rect
 	if res.Fragments != 64 {
 		t.Fatalf("scissored clear touched %d fragments, want 64", res.Fragments)
 	}
@@ -486,6 +496,7 @@ func TestScissoredClear(t *testing.T) {
 	if _, err := gpu.Execute(CmdClear(ClearColorBit)); err != nil {
 		t.Fatal(err)
 	}
+	mustExec(t, gpu, CmdFinish())
 }
 
 // TestScissoredClearClipsAsRectangle: a scissor box that pokes out of
@@ -514,11 +525,11 @@ func TestScissoredClearClipsAsRectangle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			gpu := setupDrawCtx(t, w, h)
 			mustExec(t, gpu, CmdClearColor(0, 0, 1, 1))
-			mustExec(t, gpu, CmdClear(ClearColorBit))
+			mustResolve(t, gpu, CmdClear(ClearColorBit))
 			mustExec(t, gpu, CmdEnable(CapScissorTest))
 			mustExec(t, gpu, CmdScissor(tc.x, tc.y, tc.bw, tc.bh))
 			mustExec(t, gpu, CmdClearColor(1, 0, 0, 1))
-			res := mustExec(t, gpu, CmdClear(ClearColorBit))
+			res := mustResolve(t, gpu, CmdClear(ClearColorBit))
 			red := 0
 			for y := 0; y < h; y++ {
 				for x := 0; x < w; x++ {
@@ -564,9 +575,10 @@ func TestClearFillMatchesPerPixelStores(t *testing.T) {
 	}
 }
 
-// TestDrawZeroAllocSteadyState: once the GPU's draw scratch has grown
-// to the stream's largest draw, a draw allocates nothing — whether its
-// vertices come from a VBO or a client array, and whether it is indexed.
+// TestDrawZeroAllocSteadyState: once the GPU's draw scratch and its
+// recording have grown to the stream's largest frame, recording a draw
+// and resolving the frame allocate nothing — whether the vertices come
+// from a VBO or a client array, and whether the draw is indexed.
 func TestDrawZeroAllocSteadyState(t *testing.T) {
 	gpu := setupDrawCtx(t, 64, 48)
 	gpu.SetParallelism(1)
@@ -591,7 +603,8 @@ func TestDrawZeroAllocSteadyState(t *testing.T) {
 	}
 	// Setting an attribute pointer copies its client array, so each
 	// sequence is applied once outside the measured loop; the loop runs a
-	// clear and the sequence's draws against the pointers left in place.
+	// clear and the sequence's draws against the pointers left in place,
+	// and a Finish that resolves them.
 	sequences := map[string][]Command{
 		"vbo": {
 			CmdVertexAttribPointerVBO(LocPosition, 2, 16, 0, 1),
@@ -610,13 +623,14 @@ func TestDrawZeroAllocSteadyState(t *testing.T) {
 	for name, seq := range sequences {
 		measured := []Command{CmdClear(ClearColorBit)}
 		for _, cmd := range seq {
-			if res := mustExec(t, gpu, cmd); cmd.IsDraw() {
+			if res := mustResolve(t, gpu, cmd); cmd.IsDraw() {
 				if res.Fragments == 0 {
 					t.Fatalf("%s: %v shaded nothing", name, cmd)
 				}
 				measured = append(measured, cmd)
 			}
 		}
+		measured = append(measured, CmdFinish())
 		n := testing.AllocsPerRun(50, func() {
 			for _, cmd := range measured {
 				if _, err := gpu.Execute(cmd); err != nil {

@@ -142,6 +142,19 @@ func tilesDim(px int) int { return (px + blockSize - 1) / blockSize }
 // buffer and is valid until the next Encode call; callers that retain
 // it must copy.
 func (e *Encoder) Encode(frame []byte, forceKey bool) ([]byte, error) {
+	return e.EncodeWith(frame, forceKey, nil)
+}
+
+// EncodeWith is Encode for a frame that is not drawn yet: render(y0, y1)
+// must leave pixel rows [y0, y1) of frame final. Each row is rendered
+// exactly once, before the encoder reads it. The serial path renders
+// the whole frame in one call; on the parallel path every worker span
+// renders its own rows just before it encodes them, so a frame's render
+// and its encode share one fan-out and each band is encoded while it is
+// still in cache. Calls on disjoint rows may run concurrently. A nil
+// render is Encode. The packet is the same as Encode's of the rendered
+// frame, at every degree.
+func (e *Encoder) EncodeWith(frame []byte, forceKey bool, render func(y0, y1 int)) ([]byte, error) {
 	if len(frame) != e.w*e.h*4 {
 		return nil, fmt.Errorf("%w: got %d bytes, want %d", ErrBadSize, len(frame), e.w*e.h*4)
 	}
@@ -162,8 +175,11 @@ func (e *Encoder) Encode(frame []byte, forceKey bool) ([]byte, error) {
 
 	var sent uint32
 	if e.par > 1 && tw*th > 1 {
-		out, sent = e.encodeTilesParallel(out, frame, key, tw, th)
+		out, sent = e.encodeTilesParallel(out, frame, key, tw, th, render)
 	} else {
+		if render != nil {
+			render(0, e.h)
+		}
 		out, sent = e.encodeBands(out, frame, key, 0, th, tw)
 	}
 	e.Stats.TilesTotal += tw * th
@@ -253,18 +269,22 @@ func (e *Encoder) tileShips(frame []byte, key, bandSame bool, tx, ty, tw int) bo
 }
 
 // encodeTilesParallel fans the tile grid out across the shared worker
-// pool in spans of whole tile rows. Safety and determinism: a span reads
-// frame (never written) and its own rows of prev and src, writes its own
-// rows of prev (reconstruction) and src (memo), its own tiles' settled
-// slots and the encSpan at its first row — all disjoint
-// across spans. The span buffers are then joined in grid order,
-// reproducing the serial packet byte for byte.
-func (e *Encoder) encodeTilesParallel(out []byte, frame []byte, key bool, tw, th int) ([]byte, uint32) {
+// pool in spans of whole tile rows. Safety and determinism: a span
+// renders, when render is set, and then reads its own pixel rows of
+// frame, reads its own rows of prev and src, writes its own rows of prev
+// (reconstruction) and src (memo), its own tiles' settled slots and the
+// encSpan at its first row — all disjoint across spans. The span buffers
+// are then joined in grid order, reproducing the serial packet byte for
+// byte.
+func (e *Encoder) encodeTilesParallel(out []byte, frame []byte, key bool, tw, th int, render func(y0, y1 int)) ([]byte, uint32) {
 	if len(e.spans) < th {
 		e.spans = make([]encSpan, th)
 	}
 	spans := e.spans
 	parallel.Do(e.par, th, func(lo, hi int) {
+		if render != nil {
+			render(lo*blockSize, min(hi*blockSize, e.h))
+		}
 		s := &spans[lo]
 		s.buf, s.sent = e.encodeBands(s.buf[:0], frame, key, lo, hi, tw)
 		s.end = hi

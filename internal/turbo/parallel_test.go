@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"github.com/gbooster/gbooster/internal/sim"
@@ -102,6 +103,69 @@ func TestParallelEncodeByteIdentical(t *testing.T) {
 				}
 				if ref.Stats != enc.Stats {
 					t.Fatalf("stats diverged: serial %+v parallel %+v", ref.Stats, enc.Stats)
+				}
+			})
+		}
+	}
+}
+
+// TestEncodeWithRendersEachRowOnce: an encoder handed a render hook
+// instead of a finished frame renders every pixel row exactly once,
+// before it reads the row, and produces the packets, reconstruction and
+// stats Encode produces from the finished frames, at every degree.
+func TestEncodeWithRendersEachRowOnce(t *testing.T) {
+	for _, sz := range [][2]int{{64, 48}, {30, 22}, {8, 8}, {129, 65}} {
+		w, h := sz[0], sz[1]
+		for _, par := range parDegrees() {
+			t.Run(fmt.Sprintf("%dx%d/par=%d", w, h, par), func(t *testing.T) {
+				rng := sim.NewRNG(uint64(w*h + par))
+				ref := NewEncoder(w, h, DefaultQuality)
+				enc := NewEncoder(w, h, DefaultQuality)
+				enc.SetParallelism(par)
+				canvas := make([]byte, w*h*4)
+				var frame []byte
+				for i := 0; i < 8; i++ {
+					switch i % 4 {
+					case 0:
+						frame = randomFrame(rng, w, h, nil)
+					case 1, 2:
+						frame = randomFrame(rng, w, h, frame)
+					}
+					// The canvas holds garbage until a row is rendered,
+					// so a row read before its render shows in the packet.
+					for j := range canvas {
+						canvas[j] = byte(rng.Intn(256))
+					}
+					renders := make([]atomic.Int32, h)
+					render := func(y0, y1 int) {
+						copy(canvas[y0*w*4:y1*w*4], frame[y0*w*4:y1*w*4])
+						for y := y0; y < y1; y++ {
+							renders[y].Add(1)
+						}
+					}
+					forceKey := i == 5
+					want, err := ref.Encode(frame, forceKey)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := enc.EncodeWith(canvas, forceKey, render)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for y := range renders {
+						if n := renders[y].Load(); n != 1 {
+							t.Fatalf("frame %d: row %d rendered %d times", i, y, n)
+						}
+					}
+					if !bytes.Equal(want, got) {
+						t.Fatalf("frame %d: packet (%dB) != Encode's of the finished frame (%dB)", i, len(got), len(want))
+					}
+					if !bytes.Equal(ref.prev, enc.prev) || !bytes.Equal(ref.src, enc.src) {
+						t.Fatalf("frame %d: reconstruction or memo state diverged", i)
+					}
+				}
+				if ref.Stats != enc.Stats {
+					t.Fatalf("stats diverged: Encode %+v, EncodeWith %+v", ref.Stats, enc.Stats)
 				}
 			})
 		}
@@ -279,7 +343,9 @@ func BenchmarkTurboEncode(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/par=%d", sz.name, par), func(b *testing.B) {
 				enc := NewEncoder(sz.w, sz.h, DefaultQuality)
 				enc.SetParallelism(par)
-				if _, err := enc.Encode(frames[0], false); err != nil {
+				// Warm up on the frame iteration 0 does not encode, so
+				// every timed iteration encodes a changed frame.
+				if _, err := enc.Encode(frames[1], false); err != nil {
 					b.Fatal(err)
 				}
 				b.SetBytes(int64(sz.w * sz.h * 4))

@@ -79,13 +79,15 @@ gate 'TestMemoMatchesScanOnlyReference' -race -count=1 ./internal/turbo/
 go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/turbo/
 # Rasterizer exactness under the race detector: the span solver against
 # the per-pixel oracle it replaced, every band degree against the serial
-# render, and the benchmark's workload shapes against hashes taken before
-# the span solver existed. Band workers share the draw scratch read-only
-# and own disjoint framebuffer rows; this is the only race coverage the
-# gles package has.
-gate 'TestSpanMatchesReference|TestParallelRasterByteIdentical|TestWorkloadGolden' -race -count=1 ./internal/gles/
+# render, a recorded frame resolved in bands against rasterizing every
+# command as it executes, and the benchmark's workload shapes against
+# hashes taken before the span solver existed. Band workers share the
+# recording read-only and own disjoint framebuffer rows; this is the
+# only race coverage the gles package has.
+gate 'TestSpanMatchesReference|TestParallelRasterByteIdentical|TestFrameResolveByteIdentical|TestWorkloadGolden' -race -count=1 ./internal/gles/
 # Draw allocation gate: a draw from a VBO, from a client array, or
-# through an index buffer reuses the GPU's scratch and allocates nothing.
+# through an index buffer, and the resolve of the frame, reuse the GPU's
+# scratch and recording and allocate nothing.
 # No -race, for the same reason as the two gates above.
 gate 'TestDrawZeroAllocSteadyState' -count=1 ./internal/gles/
 # Batched-egress race gates: sendmmsg/recvmmsg parity with the portable
