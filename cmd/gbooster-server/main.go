@@ -93,21 +93,19 @@ func runFleet(addr string, width, height, maxSessions int, idle, statsEvery time
 			tick := time.NewTicker(statsEvery)
 			defer tick.Stop()
 			var col metrics.FleetCollector
-			for range tick.C {
+			lastFrames, lastAt := int64(0), time.Now()
+			for now := range tick.C {
 				// The unified snapshot path: the fleet snapshot rides a
 				// PlayerSnapshot into the same collector gbooster-load's
 				// sessions feed.
 				snap := fl.Snapshot()
 				col.Observe(metrics.PlayerSnapshot{Fleet: &snap.FleetStats})
 				tot := col.Totals()
-				perSyscall := 0.0
-				if snap.EgressSyscalls > 0 {
-					perSyscall = float64(snap.EgressDatagrams) / float64(snap.EgressSyscalls)
-				}
-				fmt.Printf("fleet: sessions=%d peak=%d frames=%d fps=%.1f forecast_fps=%.1f reject_rate=%.3f gate_wait_rate=%.3f gate_queued=%d non_protocol=%d egress_dgrams=%d egress_per_syscall=%.1f egress_drops=%d\n",
-					snap.Sessions, col.PeakSessions(), tot.Frames, snap.FrameRate, snap.ForecastFrameRate,
-					col.RejectRate(), col.GateWaitRate(), snap.GateQueued, tot.NonProtocol,
-					snap.EgressDatagrams, perSyscall, snap.EgressDrops)
+				fps := float64(snap.Frames-lastFrames) / now.Sub(lastAt).Seconds()
+				lastFrames, lastAt = snap.Frames, now
+				fmt.Printf("fleet: sessions=%d peak=%d frames=%d fps=%.1f reject_rate=%.3f gate_wait_rate=%.3f gate_queued=%d non_protocol=%d\n",
+					snap.Sessions, col.PeakSessions(), tot.Frames, fps,
+					col.RejectRate(), col.GateWaitRate(), snap.GateQueued, tot.NonProtocol)
 			}
 		}()
 	}

@@ -37,13 +37,6 @@ type FleetConfig struct {
 	// what every Player uses. A ceiling, not a reservation: the cache
 	// allocates as records arrive.
 	CacheBytes int
-	// EgressBatch tunes the fleet's coalescing egress writer, which
-	// funnels every session's replies, ACKs, and retransmits into
-	// batched socket writes (sendmmsg on linux): 0 enables it with the
-	// library default batch (64), a positive value sets the per-flush
-	// batch, and a negative value disables batching so every datagram
-	// is its own syscall.
-	EgressBatch int
 }
 
 // FleetStats is a point-in-time snapshot of a Fleet.
@@ -88,7 +81,6 @@ func NewFleet(cfg FleetConfig, opts ...Option) (*Fleet, error) {
 		CacheBytes:      cfg.CacheBytes,
 		MaxSessions:     cfg.MaxSessions,
 		IdleTimeout:     cfg.IdleTimeout,
-		EgressBatch:     cfg.EgressBatch,
 	}}, nil
 }
 
@@ -151,25 +143,18 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 	}
 	s := mgr.Stats()
 	return FleetSnapshot{FleetStats: FleetStats{
-		Sessions:        s.Sessions,
-		PeakSessions:    s.PeakSessions,
-		Admitted:        s.Admitted,
-		Rejected:        s.Rejected,
-		NonProtocol:     s.NonProtocol,
-		Frames:          s.Frames,
-		TimersArmed:     s.TimersArmed,
-		GateWidth:       s.Gate.Width,
-		GateEntries:     s.Gate.Entries,
-		GateWaits:       s.Gate.Waits,
-		GateActive:      s.Gate.Active,
-		GateQueued:      s.Gate.Queued,
-		EgressDatagrams: s.EgressDatagrams,
-		EgressSyscalls:  s.EgressSyscalls,
-		EgressBatches:   s.EgressBatches,
-		EgressDrops:     s.EgressDrops,
-
-		FrameRate:         s.FrameRate,
-		ForecastFrameRate: s.ForecastFrameRate,
+		Sessions:     s.Sessions,
+		PeakSessions: s.PeakSessions,
+		Admitted:     s.Admitted,
+		Rejected:     s.Rejected,
+		NonProtocol:  s.NonProtocol,
+		Frames:       s.Frames,
+		TimersArmed:  s.TimersArmed,
+		GateWidth:    s.Gate.Width,
+		GateEntries:  s.Gate.Entries,
+		GateWaits:    s.Gate.Waits,
+		GateActive:   s.Gate.Active,
+		GateQueued:   s.Gate.Queued,
 	}}
 }
 

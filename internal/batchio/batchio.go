@@ -1,14 +1,14 @@
-// Package batchio amortizes the per-datagram syscall cost of UDP I/O:
-// on linux it moves whole batches of datagrams through one
-// sendmmsg/recvmmsg call (via the stdlib syscall package — no new
-// dependencies), and everywhere else it degrades to the plain
-// one-WriteTo/ReadFrom-per-datagram loop with identical delivery
-// semantics. The fleet's egress writer and demux pump are the intended
-// callers: at 1024 sessions the shared listener's syscall rate, not the
-// now-cheap encode, is the downlink's dominant fixed cost.
+// Package batchio amortizes the per-datagram syscall cost of UDP
+// sends: on linux it moves whole batches of datagrams through one
+// sendmmsg call (via the stdlib syscall package — no new dependencies),
+// and everywhere else it degrades to the plain one-WriteTo-per-datagram
+// loop with identical delivery semantics. No product path uses it: the
+// fleet writes each datagram straight to its socket, because batching
+// never moved an end-to-end number (DESIGN.md §16). The benchmark's
+// per-layer send cost is its only caller.
 //
-// Both directions report datagram and syscall counts, so callers can
-// observe the achieved coalescing (datagrams per syscall) directly.
+// Sender reports datagram and syscall counts, so a caller can observe
+// the achieved coalescing (datagrams per syscall) directly.
 package batchio
 
 import (
@@ -22,8 +22,7 @@ import (
 var errNoFastPath = errors.New("batchio: fast path unavailable")
 
 // MaxBatch is the largest number of datagrams one batched syscall
-// moves; larger Send batches are chunked transparently, and Recv never
-// fills more than MaxBatch buffers per call.
+// moves; larger Send batches are chunked transparently.
 const MaxBatch = 64
 
 // Datagram pairs one packet payload with its peer address.
@@ -97,60 +96,4 @@ func (s *Sender) Send(batch []Datagram) (int, error) {
 		s.syscalls.Add(1)
 	}
 	return sent, nil
-}
-
-// Receiver reads datagrams from a PacketConn, draining as many as the
-// platform surfaces per syscall.
-type Receiver struct {
-	pc   net.PacketConn
-	fast *mmsgIO
-
-	datagrams atomic.Int64
-	syscalls  atomic.Int64
-}
-
-// NewReceiver builds a receiver over pc; the linux recvmmsg fast path
-// engages when pc is a real *net.UDPConn.
-func NewReceiver(pc net.PacketConn) *Receiver {
-	return &Receiver{pc: pc, fast: newMmsgIO(pc)}
-}
-
-// FastPath reports whether batched syscalls are in use.
-func (r *Receiver) FastPath() bool { return r.fast != nil }
-
-// Stats returns cumulative datagram/syscall counts.
-func (r *Receiver) Stats() Stats {
-	return Stats{Datagrams: r.datagrams.Load(), Syscalls: r.syscalls.Load()}
-}
-
-// Recv fills bufs with up to len(bufs) datagrams, recording each
-// payload length in sizes and source in addrs (both must be at least
-// len(bufs) long), and returns how many arrived. It blocks until at
-// least one datagram (or the conn's read deadline) arrives; the
-// portable path delivers exactly one per call, the fast path as many
-// as one recvmmsg surfaces. Deadline expiry returns a net.Error with
-// Timeout() true, like ReadFrom.
-func (r *Receiver) Recv(bufs [][]byte, sizes []int, addrs []net.Addr) (int, error) {
-	if len(bufs) == 0 {
-		return 0, nil
-	}
-	if r.fast != nil {
-		n, sys, err := r.fast.recv(bufs, sizes, addrs)
-		r.datagrams.Add(int64(n))
-		r.syscalls.Add(int64(sys))
-		if err == errNoFastPath {
-			r.fast = nil
-		} else {
-			return n, err
-		}
-	}
-	n, addr, err := r.pc.ReadFrom(bufs[0])
-	if err != nil {
-		return 0, err
-	}
-	sizes[0] = n
-	addrs[0] = addr
-	r.datagrams.Add(1)
-	r.syscalls.Add(1)
-	return 1, nil
 }

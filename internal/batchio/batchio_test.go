@@ -120,100 +120,6 @@ func TestSendParityFastVsFallback(t *testing.T) {
 	}
 }
 
-// TestRecvParityFastVsFallback drains the identical inbound sequence
-// through the batched receiver and the portable one, checking bytes,
-// order, and source addresses agree.
-func TestRecvParityFastVsFallback(t *testing.T) {
-	for _, mode := range []string{"fast", "fallback"} {
-		t.Run(mode, func(t *testing.T) {
-			send, recv := udpPair(t)
-			var r *Receiver
-			if mode == "fast" {
-				r = NewReceiver(recv)
-			} else {
-				r = NewReceiver(plainPC{recv})
-				if r.FastPath() {
-					t.Fatal("wrapped conn must not engage the fast path")
-				}
-			}
-
-			// 64 queued datagrams stay well under the default socket
-			// receive buffer even with per-packet kernel overhead.
-			batch := testBatch(64, recv.LocalAddr())
-			for i, d := range batch {
-				if _, err := send.WriteTo(d.Buf, d.Addr); err != nil {
-					t.Fatalf("seed datagram %d: %v", i, err)
-				}
-			}
-
-			recv.SetReadDeadline(time.Now().Add(5 * time.Second))
-			bufs := make([][]byte, 32)
-			for i := range bufs {
-				bufs[i] = make([]byte, 2048)
-			}
-			sizes := make([]int, len(bufs))
-			addrs := make([]net.Addr, len(bufs))
-			got := 0
-			for got < len(batch) {
-				n, err := r.Recv(bufs, sizes, addrs)
-				if err != nil {
-					t.Fatalf("after %d datagrams: %v", got, err)
-				}
-				for i := 0; i < n; i++ {
-					want := batch[got]
-					if !bytes.Equal(bufs[i][:sizes[i]], want.Buf) {
-						t.Fatalf("datagram %d: payload differs (%d vs %d bytes)", got, sizes[i], len(want.Buf))
-					}
-					wantFrom := send.LocalAddr().(*net.UDPAddr)
-					from, ok := addrs[i].(*net.UDPAddr)
-					if !ok || from.Port != wantFrom.Port || !from.IP.Equal(wantFrom.IP) {
-						t.Fatalf("datagram %d: source %v, want %v", got, addrs[i], wantFrom)
-					}
-					got++
-				}
-			}
-
-			st := r.Stats()
-			if st.Datagrams != int64(len(batch)) {
-				t.Fatalf("Datagrams = %d, want %d", st.Datagrams, len(batch))
-			}
-			if mode == "fallback" && st.Syscalls != st.Datagrams {
-				t.Errorf("portable loop: %d syscalls for %d datagrams, want 1:1", st.Syscalls, st.Datagrams)
-			}
-			if mode == "fast" && r.FastPath() && st.Syscalls >= st.Datagrams {
-				t.Errorf("fast path: %d syscalls for %d datagrams, expected coalescing", st.Syscalls, st.Datagrams)
-			}
-		})
-	}
-}
-
-// TestRecvDeadlineTimeout pins the deadline contract: expiry surfaces
-// as a net.Error with Timeout() true on both paths, exactly like
-// ReadFrom, so the fleet demux loop's idle tick keeps working.
-func TestRecvDeadlineTimeout(t *testing.T) {
-	for _, mode := range []string{"fast", "fallback"} {
-		t.Run(mode, func(t *testing.T) {
-			_, recv := udpPair(t)
-			var r *Receiver
-			if mode == "fast" {
-				r = NewReceiver(recv)
-			} else {
-				r = NewReceiver(plainPC{recv})
-			}
-			recv.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
-			bufs := [][]byte{make([]byte, 2048)}
-			n, err := r.Recv(bufs, make([]int, 1), make([]net.Addr, 1))
-			if n != 0 || err == nil {
-				t.Fatalf("Recv = %d, %v; want 0 and a timeout error", n, err)
-			}
-			ne, ok := err.(net.Error)
-			if !ok || !ne.Timeout() {
-				t.Fatalf("error %v (%T) is not a net.Error timeout", err, err)
-			}
-		})
-	}
-}
-
 // TestSendEmptyAndChunking covers the edges: empty batches are free,
 // and batches beyond MaxBatch land complete and in order.
 func TestSendEmptyAndChunking(t *testing.T) {

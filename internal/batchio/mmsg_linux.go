@@ -22,9 +22,9 @@ type mmsghdr struct {
 // even for empty datagrams.
 var emptyByte byte
 
-// mmsgIO is one direction's batched-syscall state: the raw fd hook plus
-// reusable header/iovec/sockaddr arrays so steady-state batches build
-// without allocating. The mutex serializes scratch reuse; callers that
+// mmsgIO is the batched-send state: the raw fd hook plus reusable
+// header/iovec/sockaddr arrays so steady-state batches build without
+// allocating. The mutex serializes scratch reuse; callers that
 // want parallel syscalls should use separate Senders.
 type mmsgIO struct {
 	mu  sync.Mutex
@@ -80,25 +80,6 @@ func (m *mmsgIO) putSockaddr(i int, ua *net.UDPAddr) uint32 {
 	p[0], p[1] = byte(ua.Port>>8), byte(ua.Port)
 	copy(sa.Addr[:], ip)
 	return syscall.SizeofSockaddrInet4
-}
-
-// addrAt decodes slot i's kernel-filled sockaddr into a fresh UDPAddr.
-func (m *mmsgIO) addrAt(i int) net.Addr {
-	raw := &m.names[i]
-	switch raw.Family {
-	case syscall.AF_INET:
-		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(raw))
-		p := (*[2]byte)(unsafe.Pointer(&sa.Port))
-		ip := make(net.IP, 4)
-		copy(ip, sa.Addr[:])
-		return &net.UDPAddr{IP: ip, Port: int(p[0])<<8 | int(p[1])}
-	case syscall.AF_INET6:
-		p := (*[2]byte)(unsafe.Pointer(&raw.Port))
-		ip := make(net.IP, 16)
-		copy(ip, raw.Addr[:])
-		return &net.UDPAddr{IP: ip, Port: int(p[0])<<8 | int(p[1])}
-	}
-	return nil
 }
 
 // send pushes batch through sendmmsg, chunking at MaxBatch, and returns
@@ -170,64 +151,4 @@ func (m *mmsgIO) send(batch []Datagram) (int, int, error) {
 		}
 	}
 	return sent, syscalls, nil
-}
-
-// recv pulls up to min(len(bufs), MaxBatch) datagrams in one recvmmsg,
-// blocking on the netpoller until at least one (or the read deadline)
-// arrives. Every bufs[i] must be non-empty — size them for the MTU.
-func (m *mmsgIO) recv(bufs [][]byte, sizes []int, addrs []net.Addr) (int, int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	k := len(bufs)
-	if k > MaxBatch {
-		k = MaxBatch
-	}
-	for i := 0; i < k; i++ {
-		iov := &m.iovs[i]
-		iov.Base = &bufs[i][0]
-		iov.Len = uint64(len(bufs[i]))
-		h := &m.hdrs[i]
-		h.hdr = syscall.Msghdr{
-			Name:    (*byte)(unsafe.Pointer(&m.names[i])),
-			Namelen: syscall.SizeofSockaddrInet6,
-			Iov:     iov,
-			Iovlen:  1,
-		}
-		h.msgLen = 0
-	}
-	got, syscalls := 0, 0
-	var sysErr error
-	rerr := m.rc.Read(func(fd uintptr) bool {
-		for {
-			r, _, e := syscall.Syscall6(sysRECVMMSG, fd,
-				uintptr(unsafe.Pointer(&m.hdrs[0])), uintptr(k),
-				syscall.MSG_DONTWAIT, 0, 0)
-			syscalls++
-			switch e {
-			case 0:
-				got = int(r)
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false // park on the netpoller until readable
-			default:
-				sysErr = e
-				return true
-			}
-		}
-	})
-	if sysErr != nil {
-		return 0, syscalls, sysErr
-	}
-	if rerr != nil {
-		// Deadline expiry surfaces here as a net.OpError with
-		// Timeout() == true, matching ReadFrom's contract.
-		return 0, syscalls, rerr
-	}
-	for i := 0; i < got; i++ {
-		sizes[i] = int(m.hdrs[i].msgLen)
-		addrs[i] = m.addrAt(i)
-	}
-	return got, syscalls, nil
 }

@@ -2,12 +2,6 @@
 
 package batchio
 
-import "syscall"
-
 // The stdlib syscall package's frozen linux/amd64 table predates
-// sendmmsg, so its number is spelled out here; recvmmsg made the
-// freeze and comes from the package.
-const (
-	sysSENDMMSG = 307
-	sysRECVMMSG = syscall.SYS_RECVMMSG
-)
+// sendmmsg, so its number is spelled out here.
+const sysSENDMMSG = 307

@@ -2,9 +2,6 @@
 
 package batchio
 
-// asm-generic syscall numbers: the stdlib syscall package's frozen
-// linux/arm64 table carries neither, so both are spelled out here.
-const (
-	sysSENDMMSG = 269
-	sysRECVMMSG = 243
-)
+// asm-generic syscall number: the stdlib syscall package's frozen
+// linux/arm64 table does not carry sendmmsg, so it is spelled out here.
+const sysSENDMMSG = 269

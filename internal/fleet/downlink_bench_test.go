@@ -12,41 +12,29 @@ import (
 )
 
 // BenchmarkDownlinkServe measures the fleet's downlink over a real UDP
-// socket pair — the configuration where syscall cost exists to be
-// amortized, unlike the in-memory hub BenchmarkFleetServe uses. Each
-// sub-benchmark reports datagrams/syscall for the egress path:
-// batch=on runs the coalescing egress writer, batch=off the direct
-// one-WriteTo-per-datagram path it replaced, so the pair quantifies the
-// sendmmsg win at each fleet size. Frames are driven concurrently from
-// every session, matching how a fleet actually loads the listener.
+// socket pair — the configuration where every datagram costs a syscall,
+// unlike the in-memory hub BenchmarkFleetServe uses. Frames are driven
+// concurrently from every session, matching how a fleet actually loads
+// the listener.
 func BenchmarkDownlinkServe(b *testing.B) {
 	for _, sessions := range []int{1, 64, 1024} {
-		for _, batch := range []bool{true, false} {
-			mode := "off"
-			if batch {
-				mode = "on"
-			}
-			b.Run(fmt.Sprintf("sessions=%d/batch=%s", sessions, mode), func(b *testing.B) {
-				benchDownlinkServe(b, sessions, batch)
-			})
-		}
+		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
+			benchDownlinkServe(b, sessions)
+		})
 	}
 }
 
-func benchDownlinkServe(b *testing.B, sessions int, batched bool) {
+func benchDownlinkServe(b *testing.B, sessions int) {
 	loop := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}
 	lc, err := net.ListenUDP("udp", loop)
 	if err != nil {
 		b.Fatal(err)
 	}
 	lc.SetReadBuffer(8 << 20)  // best effort: absorb admission bursts
-	lc.SetWriteBuffer(8 << 20) // and batched reply flushes
+	lc.SetWriteBuffer(8 << 20) // and reply bursts
 	cfg := newFleetConfig()
 	cfg.MaxSessions = sessions
 	cfg.IdleTimeout = time.Hour // never reap mid-bench
-	if !batched {
-		cfg.EgressBatch = -1
-	}
 	m, err := fleet.New(lc, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -95,13 +83,12 @@ func benchDownlinkServe(b *testing.B, sessions int, batched bool) {
 		b.Fatalf("sessions admitted %d, want %d", got, sessions)
 	}
 
-	before := m.Stats()
 	var next atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	// b.N frames total, pulled from a shared counter by one goroutine
 	// per session: every live session competes for the listener at
-	// once, which is the load the egress writer exists to coalesce.
+	// once.
 	for _, c := range clients {
 		c := c
 		wg.Add(1)
@@ -121,20 +108,4 @@ func benchDownlinkServe(b *testing.B, sessions int, batched bool) {
 	}
 	wg.Wait()
 	b.StopTimer()
-
-	st := m.Stats()
-	if batched {
-		dg := st.EgressDatagrams - before.EgressDatagrams
-		sys := st.EgressSyscalls - before.EgressSyscalls
-		if sys > 0 {
-			b.ReportMetric(float64(dg)/float64(sys), "datagrams/syscall")
-		}
-		if drops := st.EgressDrops - before.EgressDrops; drops > 0 {
-			b.ReportMetric(float64(drops)/float64(b.N), "egress-drops/op")
-		}
-	} else {
-		// Direct path: every datagram is its own WriteTo syscall by
-		// construction.
-		b.ReportMetric(1.0, "datagrams/syscall")
-	}
 }

@@ -3,18 +3,19 @@
 // single-session path (gbooster.StreamServer) binds one socket and
 // three goroutines to one client, the fleet Manager demultiplexes a
 // shared listener by peer address onto per-session rudp state driven by
-// injection (rudp.NewDemuxed / Conn.Inject — no per-connection read
-// loop), drives every session's retransmission timer from one hashed
-// timer wheel (no per-connection ticker), and schedules every session's
-// renders through one GPU gate of GOMAXPROCS slots (dispatch.Gate) so
-// the shared backend batches work instead of thrashing. Admission
-// control caps the session population: a datagram from an unknown peer
-// beyond MaxSessions is dropped and counted rather than allocating
-// toward OOM.
+// injection (rudp.NewDemuxed / Conn.Inject): one demux pump reads the
+// listener for every session, and every session writes its replies and
+// ACKs straight back to it. Every session's retransmission timer runs
+// on one hashed timer wheel, and every session's renders go through one
+// GPU gate of GOMAXPROCS slots (dispatch.Gate) so the shared backend
+// batches work instead of thrashing. Admission control caps the session
+// population: a datagram from an unknown peer beyond MaxSessions is
+// dropped and counted rather than allocating toward OOM.
 //
-// Per session the steady-state footprint is one goroutine (the serve
-// loop), one wheel slot while data is in flight, and the session's own
-// render/cache state bounded by Config.CacheBytes.
+// A Manager runs two goroutines of its own (the demux pump and the
+// wheel). Per session the steady-state footprint is one more goroutine
+// (the serve loop), one wheel slot while data is in flight, and the
+// session's own render/cache state bounded by Config.CacheBytes.
 package fleet
 
 import (
@@ -26,11 +27,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/gbooster/gbooster/internal/batchio"
 	"github.com/gbooster/gbooster/internal/core"
 	"github.com/gbooster/gbooster/internal/dispatch"
 	"github.com/gbooster/gbooster/internal/rudp"
-	"github.com/gbooster/gbooster/internal/timeseries"
 )
 
 // Errors.
@@ -86,11 +85,6 @@ type Config struct {
 	// IdleTimeout reaps sessions with no inbound traffic
 	// (0 = DefaultIdleTimeout).
 	IdleTimeout time.Duration
-	// EgressBatch selects the coalescing egress writer: 0 enables it
-	// with DefaultEgressBatch, a positive value sets the per-flush
-	// batch, and a negative value disables it so every send is a
-	// direct WriteTo on the listener (the pre-batching behavior).
-	EgressBatch int
 }
 
 func (c Config) withDefaults() Config {
@@ -102,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Parallelism == 0 {
 		c.Parallelism = 1
-	}
-	if c.EgressBatch == 0 {
-		c.EgressBatch = DefaultEgressBatch
 	}
 	return c
 }
@@ -127,18 +118,6 @@ type Stats struct {
 	TimersArmed int
 	// Gate is the shared GPU gate's occupancy and contention.
 	Gate dispatch.GateStats
-	// EgressDatagrams/EgressSyscalls are the coalescing egress
-	// writer's cumulative output and the syscalls it spent producing
-	// it (their ratio is the achieved datagrams-per-syscall);
-	// EgressBatches counts drain flushes and EgressDrops datagrams
-	// shed by a full egress queue. All zero when EgressBatch < 0.
-	EgressDatagrams, EgressSyscalls, EgressBatches, EgressDrops int64
-	// FrameRate is the last sampled fleet-wide render rate
-	// (frames/second across all sessions); ForecastFrameRate is the
-	// online ARMA model's prediction of that rate sampleForecastHorizon
-	// samples ahead — a leading indicator for capacity decisions (gate
-	// width, admission headroom). Both zero until the first sample.
-	FrameRate, ForecastFrameRate float64
 }
 
 // session is one admitted client: its demuxed transport state and its
@@ -171,12 +150,10 @@ type shard struct {
 
 // Manager serves a fleet of sessions on one shared PacketConn.
 type Manager struct {
-	cfg    Config
-	pc     net.PacketConn
-	tx     net.PacketConn // what sessions write to: egress when enabled, else pc
-	egress *egressConn    // nil when Config.EgressBatch < 0
-	wheel  *rudp.Wheel
-	gate   *dispatch.Gate
+	cfg   Config
+	pc    net.PacketConn
+	wheel *rudp.Wheel
+	gate  *dispatch.Gate
 
 	shards [numShards]shard
 
@@ -187,21 +164,14 @@ type Manager struct {
 	nonProto atomic.Int64
 	frames   atomic.Int64
 
-	// Frame-rate sampler: once per sampleInterval the delta of frames
-	// becomes a frames/second observation for an online ARMA model,
-	// whose forecast feeds Stats.ForecastFrameRate (guarded by rateMu).
-	rateMu       sync.Mutex
-	rateModel    *timeseries.Model
-	rate         float64
-	rateForecast float64
-
 	done      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 }
 
 // New starts a manager demultiplexing pc. The manager owns pc and
-// closes it on Close.
+// closes it on Close; pc must carry no read deadline, because the demux
+// pump blocks in ReadFrom until Close.
 func New(pc net.PacketConn, cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Width <= 0 || cfg.Height <= 0 {
@@ -217,64 +187,9 @@ func New(pc net.PacketConn, cfg Config) (*Manager, error) {
 	for i := range m.shards {
 		m.shards[i].m = make(map[string]*session)
 	}
-	m.tx = pc
-	if cfg.EgressBatch > 0 {
-		m.egress = newEgressConn(pc, cfg.EgressBatch, DefaultEgressQueue)
-		m.tx = m.egress
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			m.egress.drain()
-		}()
-	}
-	// ARMA(2,1): enough memory to track ramp-ups without chasing noise.
-	// NewARMAX only fails on negative orders, so the error is impossible
-	// here; a nil model simply disables forecasting.
-	m.rateModel, _ = timeseries.NewARMAX(2, 1, 0, 0)
 	m.wg.Add(1)
 	go m.demuxLoop()
-	m.wg.Add(1)
-	go m.sampleLoop()
 	return m, nil
-}
-
-// sampleInterval is the frame-rate sampler's cadence;
-// sampleForecastHorizon how many samples ahead the published forecast
-// looks (5 s — the fleet-scale analog of the session controller's
-// 500 ms horizon, matched to how fast a session population shifts).
-const (
-	sampleInterval        = time.Second
-	sampleForecastHorizon = 5
-)
-
-// sampleLoop turns the cumulative frame counter into a frames/second
-// series and keeps the fleet's rate forecast current.
-func (m *Manager) sampleLoop() {
-	defer m.wg.Done()
-	t := time.NewTicker(sampleInterval)
-	defer t.Stop()
-	var last int64
-	for {
-		select {
-		case <-m.done:
-			return
-		case <-t.C:
-			now := m.frames.Load()
-			rate := float64(now-last) / sampleInterval.Seconds()
-			last = now
-			m.rateMu.Lock()
-			m.rate = rate
-			if m.rateModel != nil {
-				_ = m.rateModel.Observe(rate, nil)
-				if f := m.rateModel.Forecast(sampleForecastHorizon); f > 0 {
-					m.rateForecast = f
-				} else {
-					m.rateForecast = 0
-				}
-			}
-			m.rateMu.Unlock()
-		}
-	}
 }
 
 // Sessions returns the live session count.
@@ -282,7 +197,7 @@ func (m *Manager) Sessions() int { return int(m.count.Load()) }
 
 // Stats returns a fleet snapshot.
 func (m *Manager) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Sessions:     m.count.Load(),
 		PeakSessions: m.peak.Load(),
 		Admitted:     m.admitted.Load(),
@@ -292,13 +207,6 @@ func (m *Manager) Stats() Stats {
 		TimersArmed:  m.wheel.Len(),
 		Gate:         m.gate.Stats(),
 	}
-	if m.egress != nil {
-		st.EgressDatagrams, st.EgressSyscalls, st.EgressBatches, st.EgressDrops = m.egress.stats()
-	}
-	m.rateMu.Lock()
-	st.FrameRate, st.ForecastFrameRate = m.rate, m.rateForecast
-	m.rateMu.Unlock()
-	return st
 }
 
 // Wait blocks until the manager shuts down (Close, or the listener
@@ -324,9 +232,6 @@ func (m *Manager) Close() error {
 func (m *Manager) signalClose() {
 	m.closeOnce.Do(func() {
 		close(m.done)
-		if m.egress != nil {
-			m.egress.close()
-		}
 		_ = m.pc.Close()
 		for i := range m.shards {
 			sh := &m.shards[i]
@@ -375,51 +280,25 @@ func (m *Manager) lookup(key string) *session {
 // only itself while the pump keeps serving the other sessions.
 func (m *Manager) demuxLoop() {
 	defer m.wg.Done()
-	// A real UDP listener drains whole bursts per recvmmsg; anything
-	// else (netsim hubs, in-memory conns) keeps the one-ReadFrom-per-
-	// datagram shape under the same loop.
-	rx := batchio.NewReceiver(m.pc)
-	nbufs := 1
-	if rx.FastPath() {
-		nbufs = demuxReadBatch
-	}
-	bufs := make([][]byte, nbufs)
-	for i := range bufs {
-		bufs[i] = make([]byte, 65536)
-	}
-	sizes := make([]int, nbufs)
-	addrs := make([]net.Addr, nbufs)
+	buf := make([]byte, 65536)
 	for {
-		select {
-		case <-m.done:
-			return
-		default:
-		}
-		_ = m.pc.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-		k, err := rx.Recv(bufs, sizes, addrs)
+		// One datagram per read, blocking until one arrives or Close
+		// closes the listener under us.
+		n, from, err := m.pc.ReadFrom(buf)
 		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
-			}
 			// Listener gone: tear the fleet down rather than spin.
 			m.signalClose()
 			return
 		}
-		for i := 0; i < k; i++ {
-			m.route(bufs[i][:sizes[i]], addrs[i])
-		}
+		m.route(buf[:n], from)
 	}
 }
 
-// demuxReadBatch is how many datagrams one recvmmsg may surface; the
-// pump's buffer footprint is demuxReadBatch * 64 KiB.
-const demuxReadBatch = 32
-
 // route delivers one inbound datagram: drop non-protocol traffic,
 // admit unknown peers, inject into the session's demuxed conn. Inject
-// never blocks (it refuses what the session's Recv queue can't hold),
-// so a burst drained by one batched read can't stall the pump either.
+// never blocks (it refuses what the session's Recv queue can't hold);
+// the only place the pump can wait is its own ACK's WriteTo while the
+// socket send buffer is full.
 func (m *Manager) route(pkt []byte, from net.Addr) {
 	if from == nil || !rudp.IsProtocolDatagram(pkt) {
 		m.nonProto.Add(1)
@@ -451,11 +330,9 @@ func (m *Manager) admit(peer net.Addr, key string) (*session, error) {
 	}
 	s := &session{
 		key: key,
-		// Sessions write through m.tx: with the egress writer enabled
-		// that queues every reply, ACK, and wheel retransmit for
-		// batched sends instead of hitting the socket one syscall per
-		// datagram.
-		conn: rudp.NewDemuxed(m.tx, peer, rudp.DefaultOptions(), m.wheel),
+		// Replies, the pump's ACKs and the wheel's retransmits all
+		// write straight to the shared listener.
+		conn: rudp.NewDemuxed(m.pc, peer, rudp.DefaultOptions(), m.wheel),
 	}
 	sh := m.shardFor(key)
 	sh.mu.Lock()

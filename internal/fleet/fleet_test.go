@@ -275,3 +275,56 @@ func TestFleetChurnSoak(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestFleetGoroutinesBoundedAndReleased pins the fleet's goroutine
+// budget: one serve goroutine per session plus exactly two of the
+// manager's own (the demux pump and the shared wheel), and none left
+// once Close returns. The baseline is taken after the test clients
+// exist, so their transport goroutines are not counted.
+func TestFleetGoroutinesBoundedAndReleased(t *testing.T) {
+	const sessions = 8
+	hub, leaves := newStar(t, sessions, 808)
+	clients := make([]*testClient, sessions)
+	for i := range clients {
+		clients[i] = newTestClient(leaves[i], hub.Addr(), uint64(i+1)<<32)
+		defer clients[i].close()
+	}
+	baseline := runtime.NumGoroutine()
+	m, err := fleet.New(hub, newFleetConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range clients {
+		if _, err := c.sendFrame(0.5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.recvFrame(10 * time.Second); err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+	}
+	if got := m.Sessions(); got != sessions {
+		t.Fatalf("sessions=%d, want %d", got, sessions)
+	}
+	// Every session is parked in Recv once its reply is out; allow the
+	// last reply's goroutine a moment to get back there.
+	want := baseline + sessions + 2
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() != want && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got != want {
+		t.Fatalf("serving %d sessions: %d goroutines over the baseline, want sessions + 2 = %d",
+			sessions, got-baseline, sessions+2)
+	}
+
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline = time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > baseline {
+		t.Fatalf("after Close: %d goroutines, baseline %d", got, baseline)
+	}
+}

@@ -147,24 +147,17 @@ type FleetStats struct {
 	// TimersArmed is how many sessions currently hold a slot on the
 	// shared retransmission timer wheel (in-flight data only).
 	TimersArmed int
-	// GateWidth is the render-concurrency bound (0 = unlimited);
-	// GateEntries counts renders admitted through the gate, GateWaits
+	// GateWidth is the render-concurrency bound (the fleet's gate is
+	// always GOMAXPROCS wide); GateEntries counts renders admitted through the gate, GateWaits
 	// how many of those had to queue, GateActive how many hold a slot
 	// right now, and GateQueued how many wait for one right now.
 	GateWidth                                      int
 	GateEntries, GateWaits, GateActive, GateQueued int64
-	// EgressDatagrams/EgressSyscalls are the coalescing egress writer's
-	// cumulative datagram output and the syscalls spent producing it —
-	// their ratio is the achieved datagrams-per-syscall. EgressBatches
-	// counts drain flushes, EgressDrops datagrams shed by a full egress
-	// queue (recovered by transport retransmission). All zero when the
-	// egress writer is disabled.
-	EgressDatagrams, EgressSyscalls, EgressBatches, EgressDrops int64
-	// FrameRate is the fleet's smoothed aggregate render throughput
-	// (frames/s, EWMA over 1 s samples); ForecastFrameRate is the ARMA
-	// forecast of that rate one horizon ahead. Both zero until the
-	// fleet's load sampler has seen its first window.
-	FrameRate, ForecastFrameRate float64
+	// EgressDatagrams, EgressSyscalls and EgressDrops are always zero:
+	// the fleet writes each datagram straight to its socket and has no
+	// egress queue to count. They remain only for readers that still
+	// compile against them.
+	EgressDatagrams, EgressSyscalls, EgressDrops int64
 }
 
 // PredictStats is the per-session predictive control plane's snapshot
@@ -198,7 +191,7 @@ type PredictStats struct {
 	// EnergyBTJ, EnergyCPUJ, EnergyDisplayJ, and EnergyGPUJ its
 	// components (radio integration + activity-driven CPU/display/GPU
 	// draw).
-	EnergyJoules                                                 float64
+	EnergyJoules                                                   float64
 	EnergyWiFiJ, EnergyBTJ, EnergyCPUJ, EnergyDisplayJ, EnergyGPUJ float64
 	// GPUTempC and ThermalScale are the thermal governor's state;
 	// Throttled reports whether it ever throttled; ThermalSwaps counts

@@ -148,15 +148,15 @@ func TestDecodeRejectsCorruptStream(t *testing.T) {
 	stream := Append(nil, cp)
 
 	cases := map[string][]byte{
-		"empty":         nil,
-		"short":         stream[:3],
-		"bad magic":     append([]byte("XXXX"), stream[4:]...),
-		"bad version":   append([]byte("GBCK\x09"), stream[5:]...),
-		"no sections":   stream[:5],
-		"trailing":      append(append([]byte(nil), stream...), 0x7f, 0x01),
-		"unknown tag":   append(append([]byte(nil), stream...), 0x40, 0x00),
-		"repeated tag":  append(append([]byte(nil), stream...), tagDict, 0x00),
-		"dict first":    append([]byte("GBCK\x01"), tagDict, 0x00),
+		"empty":        nil,
+		"short":        stream[:3],
+		"bad magic":    append([]byte("XXXX"), stream[4:]...),
+		"bad version":  append([]byte("GBCK\x09"), stream[5:]...),
+		"no sections":  stream[:5],
+		"trailing":     append(append([]byte(nil), stream...), 0x7f, 0x01),
+		"unknown tag":  append(append([]byte(nil), stream...), 0x40, 0x00),
+		"repeated tag": append(append([]byte(nil), stream...), tagDict, 0x00),
+		"dict first":   append([]byte("GBCK\x01"), tagDict, 0x00),
 		"length overrun": func() []byte {
 			s := append([]byte(nil), stream...)
 			s[6] = 0xff // state section length varint, now far past the end
@@ -172,7 +172,7 @@ func TestDecodeRejectsCorruptStream(t *testing.T) {
 	// Truncation must error except exactly at a section boundary, where
 	// the prefix is a legitimately shorter stream (optional sections).
 	boundaries := map[int]bool{
-		5 + sectionLen(len(cp.State)):                                  true,
+		5 + sectionLen(len(cp.State)):                                    true,
 		5 + sectionLen(len(cp.State)) + sectionLen(cp.cachePayloadLen()): true,
 	}
 	for cut := 5; cut < len(stream); cut += 101 {

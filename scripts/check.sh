@@ -23,6 +23,13 @@ gate() {
 
 go build ./...
 go vet ./...
+# Formatting gate: every Go file must be gofmt-clean; list the ones
+# that are not.
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	printf 'check.sh: gofmt -l lists:\n%s\n' "$unformatted" >&2
+	exit 1
+fi
 go test ./...
 go test -race -short ./internal/netsim/... ./internal/rudp/... ./internal/core/...
 # Fleet soak under the race detector: 64 sessions with churn and crash
@@ -30,6 +37,10 @@ go test -race -short ./internal/netsim/... ./internal/rudp/... ./internal/core/.
 # demux loop, timer wheel, admission path, and idle reaper all
 # interleave here.
 go test -race -short ./internal/fleet/... ./internal/dispatch/...
+# Fleet goroutine budget under the race detector, repeated: one serve
+# goroutine per session plus the demux pump and the wheel while
+# serving, and back to the baseline after Close.
+gate 'TestFleetGoroutinesBoundedAndReleased' -race -count=5 ./internal/fleet/
 # GPU gate admission order under the race detector, repeated: arrival
 # order within a priority, priority across them, direct hand-off, and a
 # cancel racing the hand-off never losing or duplicating a slot. Then
@@ -90,11 +101,9 @@ gate 'TestSpanMatchesReference|TestParallelRasterByteIdentical|TestFrameResolveB
 # scratch and recording and allocate nothing.
 # No -race, for the same reason as the two gates above.
 gate 'TestDrawZeroAllocSteadyState' -count=1 ./internal/gles/
-# Batched-egress race gates: sendmmsg/recvmmsg parity with the portable
-# loop (byte-identical wire traffic), and the fleet egress writer's
-# ordering/overflow behavior under producer concurrency.
+# batchio.Sender race gate: sendmmsg parity with the portable
+# WriteTo loop (byte-identical wire traffic in the same order).
 go test -race -count=1 ./internal/batchio/
-gate 'TestEgress' -race -count=1 ./internal/fleet/
 # Benchmark smokes: one iteration of every micro-benchmark series
 # proves each still builds and runs. Full numbers come from the same
 # lines without -benchtime (or with a larger one).
